@@ -30,6 +30,8 @@ from .core import (
     is_interference,
     is_pattern_interference,
     is_valid_labeling,
+    overlap_graph,
+    overlap_violation,
     random_labeling,
 )
 from .domination import (

@@ -30,12 +30,13 @@ from .core import (
     SetLabeling,
     build_complete_interference,
     expand_pattern,
-    interference_violation,
     is_complete_interference,
     is_interference,
     is_valid_labeling,
+    overlap_graph,
+    overlap_violation,
 )
-from .domination import all_dominating_sets, minimal_dominating_sets
+from .domination import all_dominating_sets, is_dominating, minimal_dominating_sets
 from .dpd import distance_pattern, dpd_interference_check, is_dpd_set, path_dpd_set
 from .errors import (
     CapExceededError,
@@ -47,6 +48,7 @@ from .errors import (
 from .families import complete, parse_family_spec
 from .graphs import (
     Graph,
+    bfs_distances,
     closed_neighborhood,
     components,
     fingerprint,
@@ -158,22 +160,12 @@ def parse_edge_set(tokens: List[str], G: Graph) -> int:
 
 def bipartition(G: Graph) -> Tuple[int, int]:
     """Two-color the graph; raises ValueError when an odd cycle blocks it."""
-    side: List[Optional[int]] = [None] * G.n
+    U = 0
     for comp in components(G):
-        start = (comp & -comp).bit_length() - 1
-        side[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in iter_bits(G.adj[u]):
-                    if side[w] is None:
-                        side[w] = side[u] ^ 1
-                        nxt.append(w)
-                    elif side[w] == side[u]:
-                        raise ValueError("cross-pairs needs a bipartite graph")
-            frontier = nxt
-    U = mask_of(v for v in G.vertices() if side[v] == 0)
+        dist = bfs_distances(G, (comp & -comp).bit_length() - 1)
+        U |= mask_of(v for v in iter_bits(comp) if dist[v] % 2 == 0)
+    if any((U >> u & 1) == (U >> v & 1) for u, v in G.edges):
+        raise ValueError("cross-pairs needs a bipartite graph")
     return U, G.full_mask & ~U
 
 
@@ -190,7 +182,7 @@ def resolve_pattern(name: str, G: Graph) -> Pattern:
     if name.startswith("explicit:"):
         data = _load_json(name[len("explicit:"):])
         if not isinstance(data, list) or not all(
-            isinstance(row, list) and all(isinstance(v, int) for v in row) for row in data
+            isinstance(row, list) and all(type(v) is int for v in row) for row in data
         ):
             raise GraphFormatError("explicit pattern file must hold an array of vertex arrays")
         return Pattern.explicit([mask_of(row) for row in data])
@@ -264,8 +256,9 @@ def cmd_check(args) -> dict:
         report.update({"verdict": False, "violations": []})
         return report
     violations = []
+    H = overlap_graph(G, f)
     for D in targets:
-        bad = interference_violation(G, D, f)
+        bad = overlap_violation(G, H, D)
         if bad is not None:
             violations.append({"set": bit_list(D), **bad.as_dict()})
     report["verdict"] = not violations
@@ -484,12 +477,9 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
         Kn = complete(G.n)
         nrep = neighborhood_labeling(G)
         crep = complemented_labeling(G)
-
-        def oracle_open(D: int) -> bool:
-            return nrep.valid and is_interference(Kn, D, nrep.labeling)
-
-        def oracle_comp(D: int) -> bool:
-            return crep.valid and is_interference(Kn, D, crep.labeling)
+        # the definitional route: each labeling's overlap graph, built once
+        h_open = overlap_graph(Kn, nrep.labeling) if nrep.valid else None
+        h_comp = overlap_graph(Kn, crep.labeling) if crep.valid else None
 
         for D, kind, thm, orc in (
             (None, "open_complete", neighborhood_complete(G),
@@ -502,8 +492,10 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
                 mismatches.append({"graph6": g6, "kind": kind, "set": None})
         for D in _target_sets(G, args.seed, args.samples):
             for kind, thm, orc in (
-                ("open_set", neighborhood_interference_of(G, D), oracle_open(D)),
-                ("complemented_set", complemented_interference_of(G, D), oracle_comp(D)),
+                ("open_set", neighborhood_interference_of(G, D),
+                 h_open is not None and is_dominating(h_open, D)),
+                ("complemented_set", complemented_interference_of(G, D),
+                 h_comp is not None and is_dominating(h_comp, D)),
             ):
                 checks += 1
                 if thm != orc:

@@ -4,8 +4,9 @@ A labeling assigns every vertex a nonempty subset of a ground set
 {0..m-1}; distinct vertices must get distinct subsets.  Such a labeling f
 is an *interference* of a nonempty vertex set D (with respect to the
 "interference graph" I) when every vertex u outside D has some neighbor
-v in D whose label meets f(u).  It is an interference of a *family* of
-sets when it is one for every member.
+v in D whose label meets f(u).  Equivalently, D dominates the overlap
+graph H_f: the edges of I whose endpoint labels meet.  It is an
+interference of a *family* of sets when it is one for every member.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .bitset import bit_list, iter_bits, mask_of
 from .errors import GraphFormatError
-from .domination import all_dominating_sets, minimal_dominating_sets
+from .domination import all_dominating_sets, is_dominating, minimal_dominating_sets
 from .graphs import Graph
 
 
@@ -36,12 +37,6 @@ class SetLabeling:
     def label(self, v: int) -> int:
         return self.labels[v]
 
-    def label_union(self, vertex_mask: int) -> int:
-        out = 0
-        for v in iter_bits(vertex_mask):
-            out |= self.labels[v]
-        return out
-
     def as_sets(self) -> List[List[int]]:
         return [bit_list(lab) for lab in self.labels]
 
@@ -55,12 +50,15 @@ class SetLabeling:
             raw = obj["labels"]
         except (KeyError, TypeError):
             raise GraphFormatError("labeling JSON needs ground_set_size and labels") from None
-        if not isinstance(m, int) or m < 1:
+        # type() rather than isinstance(): JSON true must not pass as 1
+        if type(m) is not int or m < 1:
             raise GraphFormatError("ground_set_size must be a positive int")
+        if not isinstance(raw, list):
+            raise GraphFormatError("labels must be an array of element arrays")
         labels = []
         for lab in raw:
-            if not all(isinstance(e, int) and 0 <= e < m for e in lab):
-                raise GraphFormatError(f"label {lab!r} has elements outside 0..{m - 1}")
+            if not isinstance(lab, list) or not all(type(e) is int and 0 <= e < m for e in lab):
+                raise GraphFormatError(f"label {lab!r} is not an array of elements in 0..{m - 1}")
             labels.append(mask_of(lab))
         return cls(m, tuple(labels))
 
@@ -91,21 +89,29 @@ class Violation:
         return {"vertex": self.vertex, "candidates": bit_list(self.candidates_mask)}
 
 
+def overlap_graph(G: Graph, f: SetLabeling) -> Graph:
+    """The edges of G whose endpoint labels meet; f interferes for D iff D dominates it."""
+    _require_valid(f)
+    if f.n != G.n:
+        raise ValueError("labeling size does not match graph order")
+    labs = f.labels
+    return Graph(G.n, [(u, v) for u, v in G.edges if labs[u] & labs[v]])
+
+
 def interference_violation(G: Graph, D: int, f: SetLabeling) -> Optional[Violation]:
     """First vertex (ascending) violating the interference condition, or None."""
+    return overlap_violation(G, overlap_graph(G, f), D)
+
+
+def overlap_violation(G: Graph, H: Graph, D: int) -> Optional[Violation]:
+    """First vertex (ascending) outside D with no neighbor in D in H = overlap_graph(G, f)."""
     if D == 0:
         raise ValueError("D must be nonempty")
     if D >> G.n:
         raise ValueError("D has vertices outside the graph")
-    _require_valid(f)
-    if f.n != G.n:
-        raise ValueError("labeling size does not match graph order")
-    for u in G.vertices():
-        if D >> u & 1:
-            continue
-        cands = G.adj[u] & D
-        if f.labels[u] & f.label_union(cands) == 0:
-            return Violation(u, cands)
+    for u in iter_bits(G.full_mask & ~D):
+        if H.adj[u] & D == 0:
+            return Violation(u, G.adj[u] & D)
     return None
 
 
@@ -187,8 +193,10 @@ def expand_pattern(G: Graph, P: Pattern, reduce_dominating: bool = True) -> Tupl
 
 
 def is_pattern_interference(G: Graph, P: Pattern, f: SetLabeling) -> bool:
-    """Interference of every member of the family."""
-    return all(is_interference(G, D, f) for D in expand_pattern(G, P))
+    """Interference of every member of the family: each one dominates H_f."""
+    family = expand_pattern(G, P)
+    H = overlap_graph(G, f)
+    return all(is_dominating(H, D) for D in family)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ def path_dpd_set(n: int) -> int:
     while (r + 1) * r // 2 <= n - 1:
         r += 1
     markers = [j * (j - 1) // 2 for j in range(1, r + 1)]
-    assert markers[-1] <= n - 1
     return mask_of(markers)
 
 

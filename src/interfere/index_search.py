@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .bitset import iter_bits
-from .core import (
-    Pattern,
-    SetLabeling,
-    expand_pattern,
-    is_pattern_interference,
-)
+from .core import Pattern, SetLabeling, expand_pattern, is_pattern_interference
 from .domination import is_dominating
 from .errors import CapExceededError, NoDominatingSetError, SearchBudgetExceeded
 from .graphs import Graph
@@ -228,8 +223,13 @@ def _phase(G: Graph, D_masks, m: int, budget: int, symmetry: bool):
     if constraints is None:
         return None, 0  # some target set fails to dominate
     kern = _Kernel(G, constraints, m, budget, symmetry)
-    witness = kern.search()
-    return witness, kern.nodes
+    return kern.search(), kern.nodes
+
+
+def _checked(G: Graph, P: Pattern, witness: Optional[SetLabeling]) -> Optional[SetLabeling]:
+    if witness is not None and not is_pattern_interference(G, P, witness):
+        raise RuntimeError("search produced a witness that does not interfere (bug)")
+    return witness
 
 
 def exists_interference(
@@ -244,11 +244,7 @@ def exists_interference(
     The None verdict is exhaustive (complete search); running out of node
     budget raises instead of answering.
     """
-    D_masks = expand_pattern(G, P)
-    witness, _ = _phase(G, D_masks, m, budget, symmetry)
-    if witness is not None:
-        assert is_pattern_interference(G, P, witness), "search produced a bad witness"
-    return witness
+    return _checked(G, P, _phase(G, expand_pattern(G, P), m, budget, symmetry)[0])
 
 
 def interference_index(
@@ -281,8 +277,7 @@ def interference_index(
         total += nodes
         trace.append(PhaseOutcome(m, witness is not None, nodes))
         if witness is not None:
-            assert is_pattern_interference(G, P, witness)
-            return IndexResult(m, witness, lower, total, tuple(trace))
+            return IndexResult(m, _checked(G, P, witness), lower, total, tuple(trace))
     if hi < upper:
         raise CapExceededError(f"no interference found up to max_m={hi}")
     raise RuntimeError("exhausted the certified upper bound without a witness (bug)")

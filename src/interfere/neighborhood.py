@@ -84,8 +84,6 @@ def neighborhood_interference_of(G: Graph, D: int) -> bool:
     Needs a point-determining graph without isolated vertices, every outside
     vertex within distance two of D, and, when no distance-two vertex of D
     exists for u, some member of D adjacent to u forming a triangle with it.
-    The triangle clause is evaluated both ways (common-neighbor masks, and
-    non-isolation inside the induced neighborhood) and must agree.
     """
     if D == 0:
         raise ValueError("D must be nonempty")
@@ -100,14 +98,8 @@ def neighborhood_interference_of(G: Graph, D: int) -> bool:
         ring2 = second_neighborhood(G, u) & D
         if near == 0 and ring2 == 0:
             return False  # D out of reach of u
-        if ring2 == 0:
-            in_triangle = any(G.adj[u] & G.adj[v] for v in iter_bits(near))
-            sub, verts = induced_subgraph(G, G.adj[u])
-            pos = {v: i for i, v in enumerate(verts)}
-            non_isolated = any(sub.adj[pos[v]] != 0 for v in iter_bits(near))
-            assert in_triangle == non_isolated, "triangle clause forms disagree"
-            if not in_triangle:
-                return False
+        if ring2 == 0 and not any(G.adj[u] & G.adj[v] for v in iter_bits(near)):
+            return False
     return True
 
 
@@ -165,8 +157,8 @@ def complemented_interference_of(G: Graph, D: int) -> bool:
     """Structural test that u -> V \\ N(u) interferes for D.
 
     Only vertices adjacent to all of D are at risk: such a u needs a
-    nonneighbor that also misses some member of D.  Both the prose form and
-    the set-containment form are evaluated and must agree.
+    nonneighbor that also misses some member of D, i.e. V \\ N(u) must
+    escape the common neighborhood of D.
     """
     if D == 0:
         raise ValueError("D must be nonempty")
@@ -177,18 +169,10 @@ def complemented_interference_of(G: Graph, D: int) -> bool:
     joined_to_all = G.full_mask
     for v in iter_bits(D):
         joined_to_all &= G.adj[v]
-    for u in iter_bits(joined_to_all & ~D):
-        # set form: the complemented neighborhood escapes the common-neighbor set
-        escapes = complemented_neighborhood(G, u) & ~joined_to_all != 0
-        # prose form: some nonneighbor of u misses at least one member of D
-        witness = any(
-            any(not (G.adj[d] >> w & 1) for d in iter_bits(D))
-            for w in iter_bits(complemented_neighborhood(G, u))
-        )
-        assert escapes == witness, "complemented interference forms disagree"
-        if not escapes:
-            return False
-    return True
+    return all(
+        complemented_neighborhood(G, u) & ~joined_to_all
+        for u in iter_bits(joined_to_all & ~D)
+    )
 
 
 def complemented_complete(G: Graph) -> bool:

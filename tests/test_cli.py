@@ -109,6 +109,31 @@ class TestCheck:
         )
         assert code == FORMAT
 
+    @pytest.mark.parametrize("labeling", [
+        {"ground_set_size": 2, "labels": 5},
+        {"ground_set_size": 2, "labels": [5, [1], [0]]},
+        {"ground_set_size": 2, "labels": [[True], [1], [0, 1]]},
+        {"ground_set_size": True, "labels": [[0]]},
+    ])
+    def test_mistyped_labeling_is_format_error(self, tmp_path, labeling):
+        lab = tmp_path / "lab.json"
+        lab.write_text(json.dumps(labeling))
+        code, out = run_cli(
+            ["check", "--graph", "complete:3", "--labeling", str(lab), "--set", "0"]
+        )
+        assert code == FORMAT
+        assert json.loads(out)["error"]["kind"] == "format"
+
+    def test_boolean_pattern_vertex_is_format_error(self, tmp_path):
+        sets = tmp_path / "sets.json"
+        sets.write_text("[[true]]")
+        code, out = run_cli(
+            ["check", "--graph", "complete:3", "--labeling", "complete",
+             "--pattern", f"explicit:{sets}"]
+        )
+        assert code == FORMAT
+        assert json.loads(out)["error"]["kind"] == "format"
+
     def test_vertex_out_of_range_is_usage(self):
         code, out = run_cli(
             ["check", "--graph", "complete:3", "--labeling", "complete", "--set", "9"]
@@ -136,6 +161,16 @@ class TestIndex:
         )
         assert code == OK
         assert obj["defined"] is False and "reason" in obj
+
+    def test_cross_pairs_on_bipartite_graph(self):
+        code, obj = run_cli_json(["index", "--graph", "kpq:2,3", "--pattern", "cross-pairs"])
+        assert code == OK
+        assert obj["defined"] is True and obj["index"] == 3
+
+    def test_cross_pairs_needs_bipartite_graph(self):
+        code, obj = run_cli_json(["index", "--graph", "cycle:5", "--pattern", "cross-pairs"])
+        assert code == USAGE
+        assert "cross-pairs needs a bipartite graph" in obj["error"]["message"]
 
     def test_budget_flag_exits_three(self):
         code, out = run_cli(

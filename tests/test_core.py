@@ -15,10 +15,13 @@ from interfere import (
     expand_pattern,
     interference_violation,
     is_complete_interference,
+    is_dominating,
     is_interference,
     is_pattern_interference,
     is_valid_labeling,
     mask_of,
+    overlap_graph,
+    overlap_violation,
 )
 
 from oracles import (
@@ -56,9 +59,6 @@ class TestLabelingValidity:
     def test_as_sets(self):
         assert SetLabeling(3, [5]).as_sets() == [[0, 2]]
 
-    def test_label_union(self):
-        assert SetLabeling(3, [1, 6]).label_union(mask_of([0, 1])) == 7
-
 
 class TestInterferencePredicate:
     def test_definition_on_path(self):
@@ -70,10 +70,12 @@ class TestInterferencePredicate:
         assert not is_interference(G, mask_of([0]), lab)
 
     def test_violation_report(self):
-        v = interference_violation(complete(3), 0b001, SetLabeling(2, [1, 2, 3]))
+        lab = SetLabeling(2, [1, 2, 3])
+        v = interference_violation(complete(3), 0b001, lab)
         assert v is not None
         assert v.vertex == 1
         assert v.as_dict() == {"vertex": 1, "candidates": [0]}
+        assert overlap_violation(complete(3), overlap_graph(complete(3), lab), 0b001) == v
 
     def test_no_violation_returns_none(self):
         lab = SetLabeling(2, [1, 3, 2])
@@ -90,10 +92,11 @@ class TestInterferencePredicate:
         for G in itf.all_graphs(n):
             for _ in range(12):
                 lab = itf.random_labeling(n, 3, rng)
+                H = overlap_graph(G, lab)
                 for D in range(1, 1 << n):
-                    assert is_interference(G, D, lab) == brute_is_interference(
-                        G, bit_list(D), lab
-                    )
+                    want = brute_is_interference(G, bit_list(D), lab)
+                    assert is_interference(G, D, lab) == want
+                    assert is_dominating(H, D) == want
 
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):

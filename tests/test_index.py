@@ -121,6 +121,15 @@ class TestIndexMachinery:
             res = interference_index(G, Pattern.explicit([1 << n]))
             assert res.index == ceil_log2(G.n + 1)
 
+    def test_bad_witness_raises(self, monkeypatch):
+        # {0},{1},{0,1} on K3: vertex 1 shares nothing with {0}
+        bad = SetLabeling(2, (0b01, 0b10, 0b11))
+        monkeypatch.setattr(itf.index_search._Kernel, "search", lambda self: bad)
+        with pytest.raises(RuntimeError, match="bug"):
+            interference_index(complete(3), Pattern.singletons())
+        with pytest.raises(RuntimeError, match="bug"):
+            exists_interference(complete(3), Pattern.singletons(), 2)
+
     def test_result_serialization(self):
         res = interference_index(complete(4), Pattern.singletons())
         d = res.as_dict()

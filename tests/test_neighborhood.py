@@ -94,6 +94,23 @@ class TestOpenRouteEquivalence:
         # far end of a path is out of reach of the target
         assert not neighborhood_interference_of(path(5), mask_of([0]))
 
+    def test_triangle_clause_as_non_isolation_in_induced_neighborhood(self):
+        """The criterion again, with the triangle clause read as some member
+        of D being non-isolated in the subgraph induced on N(u)."""
+        for G in itf.connected_graphs_upto(6):
+            if not itf.is_point_determining(G) or 0 in G.adj:
+                continue
+            in_triangle = []  # per u: the neighbors non-isolated in G[N(u)]
+            for u in G.vertices():
+                sub, verts = itf.induced_subgraph(G, G.adj[u])
+                in_triangle.append(mask_of(v for i, v in enumerate(verts) if sub.adj[i]))
+            for D in range(1, 1 << G.n):
+                want = all(
+                    itf.second_neighborhood(G, u) & D or in_triangle[u] & D
+                    for u in itf.iter_bits(G.full_mask & ~D)
+                )
+                assert neighborhood_interference_of(G, D) == want, (itf.to_graph6(G), bin(D))
+
 
 class TestCompleteness:
     def test_wheels(self):
@@ -234,6 +251,24 @@ class TestComplementedRoute:
                 assert complemented_interference_of(G, D) == oracle_interferes(
                     G, D, rep
                 )
+
+    def test_matches_prose_form(self):
+        """The criterion again in prose form: every vertex outside D that is
+        adjacent to all of D has a nonneighbor missing some member of D."""
+        for G in itf.connected_graphs_upto(6):
+            if not itf.is_point_determining(G):
+                continue
+            for D in range(1, 1 << G.n):
+                want = all(
+                    any(
+                        not G.adj[d] >> w & 1
+                        for w in itf.iter_bits(itf.complemented_neighborhood(G, u))
+                        for d in itf.iter_bits(D)
+                    )
+                    for u in itf.iter_bits(G.full_mask & ~D)
+                    if D & ~G.adj[u] == 0
+                )
+                assert complemented_interference_of(G, D) == want, (itf.to_graph6(G), bin(D))
 
     def test_anchors(self):
         assert complemented_interference_of(cycle(5), mask_of([0]))
