@@ -8,15 +8,24 @@ set) and prunes with:
 * per-constraint support filtering: a vertex u constrained by candidate set
   Vs keeps only codes meeting the union of elements still available in Vs
   (a code intersects some member of a union iff it intersects the union);
+  each vertex's element union is read once per fixpoint round from one
+  code mask per ground element, and refreshed when its domain shrinks;
 * a dual rule: when only one candidate vertex can still support u, that
   vertex keeps only codes meeting u's remaining elements;
 * all-different unit propagation plus a union cardinality check (labels must
   be pairwise distinct);
 * first-occurrence symmetry breaking: along the fixed assignment order,
   each new label may introduce only a contiguous block of fresh ground
-  elements, so solutions are explored once per ground-permutation orbit.
+  elements, so solutions are explored once per ground-permutation orbit;
+* twin ordering: vertices whose transposition maps the constraint set onto
+  itself are interchangeable, so their codes must increase along the
+  assignment order.  The lexicographically least labeling of each orbit
+  under vertex-twin and ground permutations, read in assignment order,
+  obeys both symmetry rules (Crawford, Ginsberg, Luks & Roy, KR 1996; Law &
+  Lee, CP 2004), so no orbit loses its solutions.
 
-Every assignment counts against a node budget; exceeding it raises
+symmetry=False turns off both symmetry rules; the propagation rules always
+run.  Every assignment counts against a node budget; exceeding it raises
 SearchBudgetExceeded rather than returning a verdict.
 """
 from __future__ import annotations
@@ -92,23 +101,42 @@ def _constraints_for(G: Graph, D_masks) -> Optional[List[Tuple[int, int]]]:
     return sorted(seen)
 
 
-def _elem_union(dom: int, full: int) -> int:
-    out = 0
-    while dom:
-        low = dom & -dom
-        out |= low.bit_length() - 1  # the bit index IS the label code
-        if out == full:
-            return out
-        dom ^= low
-    return out
+def _twin_classes(n: int, constraints) -> List[int]:
+    """cls[v] = the least vertex u whose transposition with v maps the
+    constraint set onto itself (v itself when there is none).
+
+    Such transpositions generate the full symmetric group on each class, so
+    one test against each class's first member decides membership.
+    """
+    cset = set(constraints)
+
+    def swaps(u: int, v: int) -> bool:
+        t = {u: v, v: u}
+        both = (1 << u) | (1 << v)
+        for w, cands in constraints:
+            if (cands >> u ^ cands >> v) & 1:
+                cands ^= both
+            if (t.get(w, w), cands) not in cset:
+                return False
+        return True
+
+    cls = list(range(n))
+    reps: List[int] = []
+    for v in range(n):
+        for u in reps:
+            if swaps(u, v):
+                cls[v] = u
+                break
+        else:
+            reps.append(v)
+    return cls
 
 
 class _Kernel:
     def __init__(self, G: Graph, constraints, m: int, budget: int, symmetry: bool):
         self.n = G.n
         self.m = m
-        self.full_elems = (1 << m) - 1
-        K = self.full_elems  # codes run 1..K
+        K = (1 << m) - 1  # codes run 1..K
         self.all_codes = ((1 << (K + 1)) - 1) & ~1
         self.budget = budget
         self.symmetry = symmetry
@@ -120,16 +148,33 @@ class _Kernel:
             subsets[x] = subsets[x ^ low] | (subsets[x ^ low] << low)
         # sup[e] = mask of codes meeting element-mask e
         self.sup = [self.all_codes & ~subsets[K ^ e] for e in range(K + 1)]
-        self.constraints = constraints
+        # (element bit, codes holding that element), to read a domain's element union
+        self.elem_codes = [(1 << e, self.sup[1 << e]) for e in range(m)]
+        self.constraints = [(u, tuple(iter_bits(cands))) for u, cands in constraints]
         weight = [0] * self.n
-        for u, cands in constraints:
+        for u, vs in self.constraints:
             weight[u] += 1
-            for v in iter_bits(cands):
+            for v in vs:
                 weight[v] += 1
         self.order = sorted(range(self.n), key=lambda v: (-weight[v], v))
+        # twin[pos] = the latest twin of order[pos] earlier in the order, or -1
+        cls = _twin_classes(self.n, constraints) if symmetry else range(self.n)
+        latest = {}
+        self.twin = []
+        for v in self.order:
+            self.twin.append(latest.get(cls[v], -1))
+            latest[cls[v]] = v
+
+    def _union(self, d: int) -> int:
+        """Union of the element masks of every code in domain d."""
+        out = 0
+        for bit, codes in self.elem_codes:
+            if d & codes:
+                out |= bit
+        return out
 
     def _propagate(self, dom: List[int]) -> bool:
-        n, sup, full = self.n, self.sup, self.full_elems
+        n, sup, union = self.n, self.sup, self._union
         changed = True
         while changed:
             changed = False
@@ -147,38 +192,33 @@ class _Kernel:
                             changed = True
             if union_all.bit_count() < n:
                 return False
-            for u, cands in self.constraints:
-                vs = list(iter_bits(cands))
-                unions = [_elem_union(dom[v], full) for v in vs]
+            eu = [union(d) for d in dom]
+            for u, vs in self.constraints:
                 big = 0
-                for e in unions:
-                    big |= e
-                nd = dom[u] & sup[big]
+                for v in vs:
+                    big |= eu[v]
+                du = dom[u]
+                nd = du & sup[big]
                 if nd == 0:
                     return False
-                if nd != dom[u]:
-                    dom[u] = nd
+                if nd != du:
+                    dom[u] = du = nd
+                    eu[u] = union(nd)
                     changed = True
-                if len(vs) > 1:
-                    for i, v in enumerate(vs):
-                        rest = 0
-                        for j, e in enumerate(unions):
-                            if j != i:
-                                rest |= e
-                        if dom[u] & sup[rest] == 0:
-                            nv = dom[v] & sup[_elem_union(dom[u], full)]
-                            if nv == 0:
-                                return False
-                            if nv != dom[v]:
-                                dom[v] = nv
-                                changed = True
-                elif len(vs) == 1:
-                    v = vs[0]
-                    nv = dom[v] & sup[_elem_union(dom[u], full)]
+                # dual rule: a sole supporter must meet u's remaining elements
+                sole = -1
+                for v in vs:
+                    if du & sup[eu[v]]:
+                        if sole >= 0:
+                            break
+                        sole = v
+                else:
+                    nv = dom[sole] & sup[eu[u]]
                     if nv == 0:
                         return False
-                    if nv != dom[v]:
-                        dom[v] = nv
+                    if nv != dom[sole]:
+                        dom[sole] = nv
+                        eu[sole] = union(nv)
                         changed = True
         return True
 
@@ -192,7 +232,11 @@ class _Kernel:
         if pos == self.n:
             return SetLabeling(self.m, tuple(d.bit_length() - 1 for d in dom))
         u = self.order[pos]
-        for code in iter_bits(dom[u]):
+        codes = dom[u]
+        twin = self.twin[pos]
+        if twin >= 0:
+            codes &= -(dom[twin] << 1)  # twins take increasing codes along the order
+        for code in iter_bits(codes):
             if self.symmetry:
                 high = code >> used
                 if high & (high + 1):

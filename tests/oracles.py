@@ -3,6 +3,8 @@
 Everything here works on plain Python sets and itertools, on purpose: the
 package itself runs on integer bitmasks, so agreement between the two routes
 is meaningful.  These oracles are deliberately slow and simple.
+reference_propagate is the one exception: it runs the index kernel's
+propagation rules on the kernel's bitmask domains, walking every code.
 """
 
 import itertools
@@ -103,3 +105,69 @@ def brute_max_cross_intersecting(r: int, m: int) -> int:
         )
         best = max(best, s)
     return best
+
+
+def reference_propagate(n, constraints, m, dom):
+    """The index kernel's propagation rules run to a fixpoint the plain way.
+
+    constraints holds (u, candidate-mask) pairs; dom[v] is a bitmask of the
+    label codes (1..2^m - 1) still open to v, narrowed in place.  Each
+    constraint visit recomputes every candidate's element union by walking
+    its codes.  Returns False on a wipeout or too few codes for n distinct
+    labels.
+    """
+    codes = range(1, 1 << m)
+    # sup[x] = codes meeting element mask x
+    sup = [sum(1 << c for c in codes if c & x) for x in range(1 << m)]
+
+    def elem_union(d):
+        out = 0
+        for c in codes:
+            if d >> c & 1:
+                out |= c
+        return out
+
+    changed = True
+    while changed:
+        changed = False
+        # all-different: committed codes leave every other domain
+        union_all = 0
+        for v in range(n):
+            d = dom[v]
+            if d == 0:
+                return False
+            union_all |= d
+            if d & (d - 1) == 0:
+                for w in range(n):
+                    if w != v and dom[w] & d:
+                        dom[w] &= ~d
+                        changed = True
+        if bin(union_all).count("1") < n:
+            return False
+        for u, cands in constraints:
+            vs = bit_list(cands)
+            unions = [elem_union(dom[v]) for v in vs]
+            big = 0
+            for e in unions:
+                big |= e
+            nd = dom[u] & sup[big]
+            if nd == 0:
+                return False
+            if nd != dom[u]:
+                dom[u] = nd
+                changed = True
+            # dual rule: when no other candidate can still support u, the
+            # remaining one must meet u's elements
+            for i, v in enumerate(vs):
+                rest = 0
+                for j, e in enumerate(unions):
+                    if j != i:
+                        rest |= e
+                if dom[u] & sup[rest] == 0:
+                    nv = dom[v] & sup[elem_union(dom[u])]
+                    if nv == 0:
+                        return False
+                    if nv != dom[v]:
+                        dom[v] = nv
+                        changed = True
+    return True

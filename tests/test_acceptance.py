@@ -119,9 +119,9 @@ def _edge_label_sets(G):
 
 def test_criterion_01_complete_graph_index():
     """interference_index(K_n) over dominating sets is ceil(log2 2n) for
-    n = 2..8; each run finishes within a minute and the phase one ground
+    n = 2..12; each run finishes within a minute and the phase one ground
     element below the answer is exhausted (search reports None)."""
-    for n in range(2, 9):
+    for n in range(2, 13):
         started = time.monotonic()
         res = interference_index(complete(n), Pattern.all_dominating())
         assert res.index == ceil_log2(2 * n), n
@@ -172,10 +172,13 @@ def test_criterion_03_two_block_law_and_k2s_index():
 
 def test_criterion_04_krs_equality_window():
     """bipartite_index(r, s) equals ceil(log2(n + r)) with n = r + s for
-    every 3 <= r <= 4 and r <= s <= 6."""
+    every 3 <= r <= 4 and r <= s <= 6, and the direct search over all
+    minimal dominating sets of K_{r,s} finds the same index."""
     for r in (3, 4):
         for s in range(r, 7):
             assert bipartite_index(r, s) == ceil_log2(2 * r + s), (r, s)
+            res = interference_index(complete_bipartite(r, s), Pattern.all_minimal_dominating())
+            assert res.index == bipartite_index(r, s), (r, s)
 
 
 # ---------------------------------------------------------------------------

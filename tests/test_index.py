@@ -1,5 +1,7 @@
 """Smallest-ground-set search and the cross-intersecting extremal numbers."""
 
+import random
+
 import pytest
 
 import interfere as itf
@@ -19,7 +21,14 @@ from interfere import (
     universal_upper_bound,
 )
 
-from oracles import brute_exists_interference, brute_max_cross_intersecting
+from interfere.index_search import _constraints_for, _Kernel
+
+from oracles import (
+    brute_exists_interference,
+    brute_is_interference,
+    brute_max_cross_intersecting,
+    reference_propagate,
+)
 
 # values confirmed by brute_max_cross_intersecting, which enumerates the
 # literal definition with no symmetry shortcuts
@@ -72,6 +81,105 @@ class TestSearchAgainstBrute:
             a = exists_interference(G, Pattern.all_minimal_dominating(), 3, symmetry=True)
             b = exists_interference(G, Pattern.all_minimal_dominating(), 3, symmetry=False)
             assert (a is None) == (b is None)
+
+
+def complete_multipartite(*parts):
+    first = [sum(parts[:i]) for i in range(len(parts))]
+    n = sum(parts)
+    return itf.Graph(n, [
+        (u, v)
+        for i, (a, ra) in enumerate(zip(first, parts))
+        for b, rb in zip(first[i + 1:], parts[i + 1:])
+        for u in range(a, a + ra)
+        for v in range(b, b + rb)
+    ])
+
+
+TWIN_RICH = (
+    [complete(n) for n in range(3, 8)]
+    + [complete_multipartite(*p) for p in ((3, 3), (2, 2, 2), (2, 2, 3), (3, 4))]
+    + [itf.star(s) for s in range(2, 7)]
+    + [itf.wheel(n) for n in range(3, 7)]
+)
+PATTERNS = (
+    Pattern.all_dominating(),
+    Pattern.all_minimal_dominating(),
+    Pattern.singletons(),
+)
+
+
+class TestSymmetryRules:
+    """Twin ordering and the fresh-block rule never change a verdict."""
+
+    @staticmethod
+    def _compare(G):
+        for P in PATTERNS:
+            try:
+                index = interference_index(G, P).index
+                expected = {index - 1: False, index: True}
+            except NoDominatingSetError:
+                expected = {index_lower_bound(G.n): False}
+            for m, found in expected.items():
+                if m < 1:
+                    continue
+                on = exists_interference(G, P, m, symmetry=True)
+                off = exists_interference(G, P, m, symmetry=False)
+                assert (on is not None) == (off is not None) == found, (
+                    itf.to_graph6(G), P.kind, m
+                )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_connected_graph(self, n):
+        for G in itf.connected_graphs(n):
+            self._compare(G)
+
+    @pytest.mark.parametrize("G", TWIN_RICH, ids=itf.to_graph6)
+    def test_twin_rich_graphs(self, G):
+        self._compare(G)
+
+    def test_twins_come_from_constraints_not_adjacency(self):
+        # the sides {0, 1} and {2, 3} of K2,2 hold graph twins, but the target
+        # set {0, 2} singles out one vertex of each side, so no swap survives
+        G = complete_bipartite(2, 2)
+
+        def twins(*sets):
+            kern = _Kernel(G, _constraints_for(G, sets), 3, 10**6, True)
+            return dict(zip(kern.order, kern.twin))
+
+        assert twins(0b0101) == {0: -1, 1: -1, 2: -1, 3: -1}
+        assert twins(0b0101, 0b0110, 0b1001, 0b1010) == {0: -1, 1: 0, 2: -1, 3: 2}
+
+
+class TestPropagation:
+    def test_matches_reference_fixpoint(self):
+        rng = random.Random(7)
+        checked = 0
+        while checked < 400:
+            n = rng.randint(2, 8)
+            G = itf.Graph(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
+            ])
+            if rng.random() < 0.5:
+                D_masks = itf.minimal_dominating_sets(G).sets
+            else:
+                D_masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))]
+            constraints = _constraints_for(G, D_masks)
+            if constraints is None:
+                continue
+            m = index_lower_bound(n) + rng.randint(0, 1)
+            kern = _Kernel(G, constraints, m, 10**6, True)
+            dom = [kern.all_codes] * n
+            for v, code in zip(
+                rng.sample(range(n), rng.randint(0, n)),
+                rng.sample(range(1, 1 << m), n),
+            ):
+                dom[v] = 1 << code
+            got, want = list(dom), list(dom)
+            ok = kern._propagate(got)
+            assert ok == reference_propagate(n, constraints, m, want)
+            if ok:
+                assert got == want
+            checked += 1
 
 
 class TestIndexOnCompleteGraphs:
@@ -219,6 +327,13 @@ class TestBipartiteIndex:
         W = ((1 << s) - 1) << r
         res = interference_index(G, Pattern.cross_pairs(U, W))
         assert res.index == itf.bipartite_index(r, s)
+
+    def test_k66_within_default_budget(self):
+        G = complete_bipartite(6, 6)
+        res = interference_index(G, Pattern.all_dominating())
+        assert res.index == 5
+        for D in itf.minimal_dominating_sets(G).sets:
+            assert brute_is_interference(G, itf.bit_list(D), res.witness)
 
     def test_one_side_as_target(self):
         for r, s in ((2, 3), (3, 4)):
