@@ -134,8 +134,7 @@ from .neighborhood import (
     DISTANCE2_RULE,
     REGULAR_RULE,
     LabelingReport,
-    SelfCheck,
-    closed_neighborhood_selfcheck,
+    closed_labeling,
     complemented_complete,
     complemented_interference_of,
     complemented_labeling,

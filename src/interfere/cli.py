@@ -4,7 +4,7 @@ Every subcommand prints one JSON document to standard output, except `gen`
 (raw graph6 or edge-list text) and `domsets` (a bare JSON array).  Exit
 codes: 0 when a verdict was computed (even a negative one), 2 on usage
 errors, 3 when a search budget or enumeration cap was exceeded, 4 on
-malformed input.  Reports carry "schema": "1" and a "timing" field in
+malformed input.  Reports carry "schema": "2" and a "timing" field in
 seconds; apart from the timing, output is byte-identical for identical
 arguments and seed.
 
@@ -49,7 +49,6 @@ from .families import complete, parse_family_spec
 from .graphs import (
     Graph,
     bfs_distances,
-    closed_neighborhood,
     components,
     fingerprint,
     from_edge_list,
@@ -68,6 +67,7 @@ from .index_search import (
     max_cross_intersecting,
 )
 from .linegraph import (
+    edge_mask,
     line_complemented_independence_rule,
     line_complemented_interference_of,
     line_complemented_regular_rule,
@@ -77,7 +77,7 @@ from .linegraph import (
     line_interference_of,
 )
 from .neighborhood import (
-    closed_neighborhood_selfcheck,
+    closed_labeling,
     complemented_complete,
     complemented_interference_of,
     complemented_labeling,
@@ -90,7 +90,7 @@ from .neighborhood import (
     two_path_complete,
 )
 
-SCHEMA = "1"
+SCHEMA = "2"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -103,24 +103,23 @@ _EXHAUSTIVE_SWEEP_N = 5  # below this, sweeps try every nonempty D
 # ---------------------------------------------------------------------------
 # input plumbing
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read {path}: {exc}") from None
+
+
 def resolve_graph(spec: str) -> Graph:
     if spec.startswith("file:"):
-        path = spec[len("file:"):]
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise GraphFormatError(f"cannot read {path}: {exc}") from None
-        return from_edge_list(text)
+        return from_edge_list(_read_text(spec[len("file:"):]))
     if spec.startswith("g6:"):
         return from_graph6(spec[len("g6:"):])
     return parse_family_spec(spec)
 
 
 def _load_json(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read {path}: {exc}") from None
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -143,16 +142,16 @@ def parse_vertex_set(text: str, n: int) -> int:
 
 
 def parse_edge_set(tokens: List[str], G: Graph) -> int:
-    mask = 0
+    pairs = []
     for tok in tokens:
         a, sep, b = tok.partition("-")
         if not sep:
             raise ValueError(f"edge token {tok!r} must look like 'u-v'")
         try:
-            u, v = int(a), int(b)
+            pairs.append((int(a), int(b)))
         except ValueError:
             raise ValueError(f"edge token {tok!r} has non-integer endpoints") from None
-        mask |= 1 << G.edge_index(u, v)
+    mask = edge_mask(G, pairs)
     if mask == 0:
         raise ValueError("edge set must be nonempty")
     return mask
@@ -328,7 +327,12 @@ def cmd_nbd(args) -> dict:
 
     if args.labeling == "open":
         rep = neighborhood_labeling(G)
-        trace = {"injective": rep.injective, "has_empty_label": rep.has_empty_label}
+    elif args.labeling == "complemented":
+        rep = complemented_labeling(G)
+    else:
+        rep = closed_labeling(G)
+    trace = {"injective": rep.injective, "has_empty_label": rep.has_empty_label}
+    if args.labeling == "open":
         if mode == "complete":
             verdict = neighborhood_complete(G)
             trace["two_path_complete"] = two_path_complete(G)
@@ -343,8 +347,6 @@ def cmd_nbd(args) -> dict:
             verdict = neighborhood_interference_of(G, target)
             rule = "open_set"
     elif args.labeling == "complemented":
-        rep = complemented_labeling(G)
-        trace = {"injective": rep.injective, "has_empty_label": rep.has_empty_label}
         if mode == "complete":
             verdict = complemented_complete(G)
             trace["sufficient_rule"] = complemented_sufficient_rule(G)
@@ -352,19 +354,13 @@ def cmd_nbd(args) -> dict:
         else:
             verdict = complemented_interference_of(G, target)
             rule = "complemented_set"
-    else:  # closed
-        labels = tuple(closed_neighborhood(G, u) for u in G.vertices())
-        f = SetLabeling(G.n, labels)
-        valid = is_valid_labeling(f)
-        trace = {"injective": valid, "has_empty_label": False}
-        if mode == "complete":
-            sc = closed_neighborhood_selfcheck(G)
-            verdict = sc.ok
-            trace["reason"] = sc.reason
-            rule = "closed_universal_selfcheck"
-        else:
-            verdict = valid and is_interference(G, target, f)
-            rule = "closed_set"
+    elif mode == "complete":  # closed: valid is enough, see closed_labeling
+        verdict = rep.valid
+        trace["reason"] = None if rep.valid else "NOT_INJECTIVE"
+        rule = "closed_universal_selfcheck"
+    else:
+        verdict = rep.valid and is_interference(G, target, rep.labeling)
+        rule = "closed_set"
     report.update({"verdict": verdict, "rule": rule, "trace": trace})
     return report
 
@@ -382,42 +378,28 @@ def cmd_linegraph(args) -> dict:
     D = parse_edge_set(args.edge_set, G) if args.edge_set else None
     if D is not None:
         report["edge_set"] = [list(G.edges[i]) for i in iter_bits(D)]
-    L, _ = line_graph(G)
 
     if args.check == "injective":
         rep = line_injectivity_report(G)
-        oracle = neighborhood_labeling(L).injective
         report.update(
             {
                 "verdict": rep.injective,
                 "obstructions": [[kind, list(verts)] for kind, verts in rep.obstructions],
-                "oracle_agrees": rep.injective == oracle,
             }
         )
     elif args.check == "interference":
         if D is None:
             raise ValueError("--check interference needs --edge-set")
-        verdict = line_interference_of(G, D)
-        nrep = neighborhood_labeling(L)
-        oracle = nrep.valid and is_interference(complete(L.n), D, nrep.labeling)
-        report.update({"verdict": verdict, "oracle_agrees": verdict == oracle})
+        report["verdict"] = line_interference_of(G, D)
     elif args.check == "complete":
         rep = line_complete_report(G)
         report.update(
-            {
-                "verdict": rep.verdict,
-                "clauses": rep.clauses,
-                "undetermined": rep.undetermined,
-                "oracle_agrees": True,
-            }
+            {"verdict": rep.verdict, "clauses": rep.clauses, "undetermined": rep.undetermined}
         )
     elif args.check == "cnbd":
         if D is None:
             raise ValueError("--check cnbd needs --edge-set")
-        verdict = line_complemented_interference_of(G, D)
-        crep = complemented_labeling(L)
-        oracle = crep.valid and is_interference(complete(L.n), D, crep.labeling)
-        report.update({"verdict": verdict, "oracle_agrees": verdict == oracle})
+        report["verdict"] = line_complemented_interference_of(G, D)
     else:  # rules
         independence = line_complemented_independence_rule(G)
         regular = line_complemented_regular_rule(G)
@@ -453,10 +435,7 @@ def cmd_dpd(args) -> dict:
 
 def _sweep_corpus(args) -> List[Graph]:
     if args.graphs_file:
-        try:
-            text = Path(args.graphs_file).read_text()
-        except OSError as exc:
-            raise GraphFormatError(f"cannot read {args.graphs_file}: {exc}") from None
+        text = _read_text(args.graphs_file)
         return [from_graph6(line) for line in text.splitlines() if line.strip()]
     return connected_graphs_upto(args.max_n)
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .bitset import bit_list, iter_bits, mask_of
 from .errors import GraphFormatError
-from .domination import all_dominating_sets, is_dominating, minimal_dominating_sets
+from .domination import is_dominating, minimal_dominating_sets
 from .graphs import Graph
 
 
@@ -162,13 +162,12 @@ class Pattern:
         return cls(cls.CROSS_PAIRS, parts=(side_u, side_w))
 
 
-def expand_pattern(G: Graph, P: Pattern, reduce_dominating: bool = True) -> Tuple[int, ...]:
+def expand_pattern(G: Graph, P: Pattern) -> Tuple[int, ...]:
     """Materialize the family for graph G.
 
-    ALL_DOMINATING reduces to the minimal dominating sets by default: an
-    interference of every minimal dominating set is an interference of every
-    dominating superset as well (the reduction is itself under test, so the
-    unreduced expansion stays available).
+    ALL_DOMINATING expands to the minimal dominating sets: an interference
+    of every minimal dominating set is an interference of every dominating
+    superset as well.
     """
     if P.kind == Pattern.EXPLICIT:
         if any(D >> G.n for D in P.sets):
@@ -176,12 +175,8 @@ def expand_pattern(G: Graph, P: Pattern, reduce_dominating: bool = True) -> Tupl
         return P.sets
     if P.kind == Pattern.SINGLETONS:
         return tuple(1 << v for v in G.vertices())
-    if P.kind == Pattern.ALL_MINIMAL_DOMINATING:
+    if P.kind in (Pattern.ALL_MINIMAL_DOMINATING, Pattern.ALL_DOMINATING):
         return minimal_dominating_sets(G).sets
-    if P.kind == Pattern.ALL_DOMINATING:
-        if reduce_dominating:
-            return minimal_dominating_sets(G).sets
-        return all_dominating_sets(G)
     if P.kind == Pattern.CROSS_PAIRS:
         side_u, side_w = P.parts
         if (side_u | side_w) >> G.n:

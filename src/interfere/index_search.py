@@ -435,14 +435,12 @@ def bipartite_index(r: int, s: int) -> int:
     raise RuntimeError("extremal scan exceeded the certified upper bound (bug)")
 
 
-def bipartite_side_index(r: int, s: int, side: str = "U") -> int:
-    """Index for the single-side family {U} (or {W}): ceil(log2(n+1)).
+def bipartite_side_index(r: int, s: int) -> int:
+    """Index for a single-side family {U} or {W}: ceil(log2(n+1)).
 
     Either side of a complete bipartite graph is fully joined to the rest,
     so only injectivity plus one shared element constrain the labeling.
     """
     if r < 1 or s < 1:
         raise ValueError("need r, s >= 1")
-    if side not in ("U", "W"):
-        raise ValueError("side must be 'U' or 'W'")
     return ceil_log2(r + s + 1)

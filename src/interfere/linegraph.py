@@ -22,7 +22,6 @@ from .errors import HypothesisViolation
 from .graphs import (
     Graph,
     components,
-    independence_number,
     is_connected,
     is_regular,
     edge_adjacency_masks,
@@ -252,9 +251,22 @@ def line_complemented_size_rule(G: Graph, D: int) -> bool:
     )
 
 
+def _has_vertex_cover(G: Graph, k: int, cover: int = 0) -> bool:
+    """Whether at most k more vertices touch every edge that `cover` misses:
+    some endpoint of any uncovered edge must join, so branch k deep on one."""
+    edge = next((e for e in G.edges if not (cover >> e[0] | cover >> e[1]) & 1), None)
+    if edge is None:
+        return True
+    return k > 0 and any(_has_vertex_cover(G, k - 1, cover | 1 << w) for w in edge)
+
+
 def line_complemented_independence_rule(G: Graph) -> bool:
-    """Sufficient rule: connected with independence number below n - 4."""
-    return is_connected(G) and independence_number(G) < G.n - 4
+    """Sufficient rule: connected with independence number below n - 4.
+
+    That is, no vertex cover of at most 4 vertices (covers are the
+    complements of independent sets), which needs no cap on the order.
+    """
+    return is_connected(G) and not _has_vertex_cover(G, 4)
 
 
 def line_complemented_regular_rule(G: Graph) -> bool:

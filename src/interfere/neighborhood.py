@@ -7,7 +7,8 @@ to the complete graph on V, so any vertex of the target set may supply
 the shared element.  Every predicate in this module is a structural
 criterion evaluated on G directly; the definitional route (build the
 labeling, run the core predicate) lives in core and is what the tests
-compare against.
+compare against.  The closed labeling u -> N[u] is the exception: its
+interference is taken with respect to G itself.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .bitset import iter_bits
-from .core import Pattern, SetLabeling, is_pattern_interference, is_valid_labeling
+from .core import SetLabeling
 from .graphs import (
     Graph,
     bfs_distances,
@@ -69,6 +70,16 @@ def neighborhood_labeling(G: Graph) -> LabelingReport:
 def complemented_labeling(G: Graph) -> LabelingReport:
     """u -> V minus N(u); never empty, injective iff G is point-determining."""
     return _report(G, tuple(complemented_neighborhood(G, u) for u in G.vertices()))
+
+
+def closed_labeling(G: Graph) -> LabelingReport:
+    """u -> N[u]; never empty, injective iff G has no two true twins.
+
+    As an interference with respect to G itself (not the complete graph) it
+    serves every dominating set D once valid: an outside vertex u has a
+    neighbor v in D, and N[u] and N[v] share both u and v.
+    """
+    return _report(G, tuple(closed_neighborhood(G, u) for u in G.vertices()))
 
 
 def _has_isolated_vertex(G: Graph) -> bool:
@@ -218,30 +229,3 @@ def complemented_sufficient_rule(G: Graph) -> Optional[str]:
     if dist2_ok:
         return DISTANCE2_RULE
     return None
-
-
-# ---------------------------------------------------------------------------
-# closed neighborhoods
-
-@dataclass(frozen=True)
-class SelfCheck:
-    ok: bool
-    reason: Optional[str]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def closed_neighborhood_selfcheck(G: Graph) -> SelfCheck:
-    """u -> N[u] checked as an interference of every minimal dominating set.
-
-    Unlike the rest of this module the interference graph is G itself: each
-    outside vertex u shares itself with any dominator adjacent to it, so the
-    check passes whenever the labeling is injective.
-    """
-    labels = tuple(closed_neighborhood(G, u) for u in G.vertices())
-    f = SetLabeling(G.n, labels)
-    if not is_valid_labeling(f):
-        return SelfCheck(False, "NOT_INJECTIVE")
-    ok = is_pattern_interference(G, Pattern.all_minimal_dominating(), f)
-    return SelfCheck(ok, None if ok else "ORACLE_FAILED")

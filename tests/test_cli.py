@@ -247,6 +247,13 @@ class TestNbd:
         assert code == OK and obj["verdict"] is False
         assert obj["trace"]["reason"] == "NOT_INJECTIVE"
 
+    def test_closed_complete_needs_no_enumeration(self):
+        # order 17 is past the minimal-dominating-set cap, yet the verdict
+        # only asks for distinct closed neighborhoods
+        code, obj = run_cli_json(["nbd", "--graph", "path:17", "--labeling", "closed", "--complete"])
+        assert code == OK and obj["verdict"] is True
+        assert obj["trace"] == {"injective": True, "has_empty_label": False, "reason": None}
+
     def test_allbut_disconnected_is_usage(self):
         code, _ = run_cli(["nbd", "--graph", "matching:2", "--allbut", "0"])
         assert code == USAGE
@@ -266,14 +273,14 @@ class TestLinegraph:
              "--edge-set", "0-1", "2-3", "4-5"]
         )
         assert code == OK
-        assert obj["verdict"] is False and obj["oracle_agrees"] is True
+        assert obj["verdict"] is False and "oracle_agrees" not in obj
         # An adjacent pair plus the opposite edge does interfere.
         code, obj = run_cli_json(
             ["linegraph", "--graph", "cycle:6", "--check", "interference",
              "--edge-set", "0-1", "1-2", "3-4"]
         )
         assert code == OK
-        assert obj["verdict"] is True and obj["oracle_agrees"] is True
+        assert obj["verdict"] is True
 
     def test_complete_undetermined_flag(self):
         code, obj = run_cli_json(["linegraph", "--graph", "cycle:5", "--check", "complete"])
@@ -286,6 +293,10 @@ class TestLinegraph:
         assert obj["rules"]["regular"] is True
         assert obj["rules"]["independence"] is False
         assert obj["rule"] == "regular" and obj["verdict"] is True
+        # order 18 is past independence_number's cap
+        code, obj = run_cli_json(["linegraph", "--graph", "kpq:9,9", "--check", "rules"])
+        assert code == OK and obj["verdict"] is True
+        assert obj["rules"]["independence"] is True
 
     def test_hypothesis_violation_is_usage(self):
         code, out = run_cli(["linegraph", "--graph", "path:4", "--check", "cnbd",
@@ -352,7 +363,7 @@ class TestHarness:
             assert code == OK
             parsed = json.loads(out)
             if isinstance(parsed, dict):
-                assert parsed["schema"] == "1"
+                assert parsed["schema"] == "2"
 
     def test_output_is_deterministic_up_to_timing(self):
         a = strip_timing(run_cli_json(["nbd", "--graph", "wheel:5", "--complete"])[1])

@@ -201,6 +201,22 @@ class TestComplementedEdgeRoute:
         assert itf.independence_number(K44) == 4
         assert not itf.line_complemented_independence_rule(K44)
 
+    def test_independence_rule_matches_independence_number(self):
+        """The rule is decided as "no vertex cover of at most 4 vertices"."""
+        from interfere.linegraph import _has_vertex_cover
+
+        for G in itf.graphs_upto(7):
+            alpha_rule = itf.independence_number(G) < G.n - 4
+            assert (not _has_vertex_cover(G, 4)) == alpha_rule
+            assert itf.line_complemented_independence_rule(G) == (
+                itf.is_connected(G) and alpha_rule
+            )
+
+    def test_independence_rule_needs_no_cap(self):
+        # K9,9 has independence number 9 < 14, past independence_number's cap
+        assert itf.line_complemented_independence_rule(itf.complete_bipartite(9, 9))
+        assert not itf.line_complemented_independence_rule(itf.star(20))
+
     def test_regular_rule(self):
         assert itf.line_complemented_regular_rule(PETERSEN)
         assert itf.line_complemented_regular_rule(itf.complete_bipartite(4, 4))

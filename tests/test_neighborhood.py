@@ -31,6 +31,8 @@ from interfere import (
     wheel,
 )
 
+from oracles import brute_is_interference, brute_minimal_dominating_sets, neighbor_sets
+
 
 def oracle_interferes(G, D, labeling_report):
     return labeling_report.valid and is_interference(
@@ -326,17 +328,24 @@ class TestSufficientRules:
             )
 
 
-class TestClosedSelfcheck:
-    def test_equivalence_with_closed_injectivity(self):
-        for G in itf.graphs_upto(5):
-            sc = itf.closed_neighborhood_selfcheck(G)
-            closed = {itf.closed_neighborhood(G, u) for u in G.vertices()}
-            assert sc.ok == (len(closed) == G.n)
+class TestClosedLabeling:
+    def test_valid_iff_interference_of_every_minimal_dominating_set(self):
+        """With respect to G itself, u -> N[u] interferes for every minimal
+        dominating set exactly when the closed neighborhoods are distinct."""
+        for G in itf.graphs_upto(6):
+            nbrs = neighbor_sets(G)
+            f = itf.SetLabeling(G.n, tuple(mask_of(nbrs[u] | {u}) for u in range(G.n)))
+            oracle = all(
+                brute_is_interference(G, D, f) for D in brute_minimal_dominating_sets(G)
+            )
+            assert itf.closed_labeling(G).valid == oracle, itf.to_graph6(G)
 
     def test_failure_reason(self):
-        sc = itf.closed_neighborhood_selfcheck(complete(2))
-        assert not sc.ok and sc.reason == "NOT_INJECTIVE"
+        rep = itf.closed_labeling(complete(2))
+        assert not rep.valid and not rep.injective and rep.witness == (0, 1)
+        assert not rep.has_empty_label
 
     def test_path_passes(self):
-        sc = itf.closed_neighborhood_selfcheck(path(3))
-        assert sc.ok and sc.reason is None
+        rep = itf.closed_labeling(path(3))
+        assert rep.valid and rep.witness is None
+        assert rep.labeling.labels == (0b011, 0b111, 0b110)
