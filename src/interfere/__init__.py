@@ -35,14 +35,12 @@ from .core import (
     random_labeling,
 )
 from .domination import (
-    DominatingSetFamily,
     all_dominating_sets,
     is_dominating,
     is_minimal_dominating,
     minimal_dominating_sets,
 )
 from .dpd import (
-    DistancePattern,
     distance_pattern,
     dpd_interference_check,
     is_dpd_set,
@@ -81,7 +79,6 @@ from .graphs import (
     components,
     diameter,
     distance,
-    distance_to_set,
     edge_adjacency_masks,
     edge_in_triangle,
     fingerprint,
@@ -93,7 +90,6 @@ from .graphs import (
     is_point_determining,
     is_regular,
     line_graph,
-    min_max_degree,
     open_neighborhood,
     second_neighborhood,
     to_edge_list_text,

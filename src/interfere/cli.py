@@ -105,8 +105,8 @@ _EXHAUSTIVE_SWEEP_N = 5  # below this, sweeps try every nonempty D
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from None
 
 
@@ -230,10 +230,7 @@ def cmd_gen(args) -> Optional[dict]:
 
 def cmd_domsets(args) -> Optional[dict]:
     G = resolve_graph(args.graph)
-    if args.kind == "minimal":
-        sets = minimal_dominating_sets(G).sets
-    else:
-        sets = all_dominating_sets(G)
+    sets = minimal_dominating_sets(G) if args.kind == "minimal" else all_dominating_sets(G)
     print(json.dumps([bit_list(D) for D in sets]))
     return None
 

@@ -176,7 +176,7 @@ def expand_pattern(G: Graph, P: Pattern) -> Tuple[int, ...]:
     if P.kind == Pattern.SINGLETONS:
         return tuple(1 << v for v in G.vertices())
     if P.kind in (Pattern.ALL_MINIMAL_DOMINATING, Pattern.ALL_DOMINATING):
-        return minimal_dominating_sets(G).sets
+        return minimal_dominating_sets(G)
     if P.kind == Pattern.CROSS_PAIRS:
         side_u, side_w = P.parts
         if (side_u | side_w) >> G.n:

@@ -1,12 +1,11 @@
 """Dominating sets and exact enumeration of the minimal ones."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 from .bitset import bit_list, iter_bits
 from .errors import CapExceededError
-from .graphs import Graph, closed_neighborhood, fingerprint
+from .graphs import Graph, closed_neighborhood
 
 
 def is_dominating(G: Graph, D: int) -> bool:
@@ -26,29 +25,11 @@ def is_minimal_dominating(G: Graph, D: int) -> bool:
     return all(not is_dominating(G, D & ~(1 << v)) for v in iter_bits(D))
 
 
-@dataclass(frozen=True)
-class DominatingSetFamily:
-    """Canonically ordered family of vertex-set masks tied to a host graph."""
-
-    n: int
-    sets: Tuple[int, ...]
-    graph_hash: str
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.sets)
-
-    def as_lists(self) -> List[List[int]]:
-        return [bit_list(D) for D in self.sets]
-
-
 def _canonical_order(sets) -> Tuple[int, ...]:
     return tuple(sorted(sets, key=lambda D: (D.bit_count(), bit_list(D))))
 
 
-def minimal_dominating_sets(G: Graph, cap: int = 16) -> DominatingSetFamily:
+def minimal_dominating_sets(G: Graph, cap: int = 16) -> Tuple[int, ...]:
     """Every minimal dominating set, ordered by size then lexicographically.
 
     Branches on an uncovered vertex with the fewest remaining candidate
@@ -79,7 +60,7 @@ def minimal_dominating_sets(G: Graph, cap: int = 16) -> DominatingSetFamily:
             excl |= 1 << v
 
     rec(0, 0, 0)
-    return DominatingSetFamily(G.n, _canonical_order(found), fingerprint(G)["edge_hash"])
+    return _canonical_order(found)
 
 
 def all_dominating_sets(G: Graph, cap: int = 16) -> Tuple[int, ...]:

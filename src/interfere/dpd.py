@@ -8,31 +8,17 @@ graph on V.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
-
-from .bitset import bit_list, iter_bits, mask_of
+from .bitset import iter_bits, mask_of
 from .core import SetLabeling, is_interference, is_valid_labeling
 from .families import complete
 from .graphs import Graph, bfs_distances, diameter, is_connected
 
 
-@dataclass(frozen=True)
-class DistancePattern:
-    """Per-vertex distance sets encoded as masks over ground set {0..diameter}."""
+def distance_pattern(G: Graph, M: int) -> SetLabeling:
+    """Distance sets of every vertex to the markers, as labels over {0..diameter}.
 
-    ground_size: int
-    patterns: Tuple[int, ...]
-
-    def as_sets(self) -> List[List[int]]:
-        return [bit_list(p) for p in self.patterns]
-
-    def labeling(self) -> SetLabeling:
-        return SetLabeling(self.ground_size, self.patterns)
-
-
-def distance_pattern(G: Graph, M: int) -> DistancePattern:
-    """Distance sets of every vertex to the markers; needs a connected graph."""
+    Needs a connected graph; the labels are pairwise distinct iff M is a DPD set.
+    """
     if M == 0:
         raise ValueError("marker set must be nonempty")
     if M >> G.n:
@@ -44,13 +30,12 @@ def distance_pattern(G: Graph, M: int) -> DistancePattern:
         dist = bfs_distances(G, v)
         for u in G.vertices():
             patterns[u] |= 1 << dist[u]
-    return DistancePattern(diameter(G) + 1, tuple(patterns))
+    return SetLabeling(diameter(G) + 1, tuple(patterns))
 
 
 def is_dpd_set(G: Graph, M: int) -> bool:
     """Markers whose distance patterns separate all vertices."""
-    pat = distance_pattern(G, M).patterns
-    return len(set(pat)) == G.n
+    return len(set(distance_pattern(G, M).labels)) == G.n
 
 
 def path_dpd_set(n: int) -> int:
@@ -76,8 +61,7 @@ def dpd_interference_check(G: Graph, M: int) -> bool:
     valid); with a valid labeling, every nonmarker's distance set must meet
     some marker's.
     """
-    pat = distance_pattern(G, M)
-    f = pat.labeling()
+    f = distance_pattern(G, M)
     if not is_valid_labeling(f):
         return False
     return is_interference(complete(G.n), M, f)

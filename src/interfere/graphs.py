@@ -8,59 +8,17 @@ is reproducible.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .bitset import iter_bits
 from .errors import CapExceededError, GraphFormatError
 
 
-class _Infinity:
-    """Distance value for unreachable pairs.
+# Distance to an unreachable vertex; orders above every int and never overflows.
+INFINITY = math.inf
 
-    Compares above every int, equals only itself, and deliberately supports
-    no arithmetic: adding to it raises rather than silently overflowing the
-    way a large sentinel integer would.
-    """
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        if isinstance(other, (int, _Infinity)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, _Infinity):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, _Infinity):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, _Infinity)):
-            return True
-        return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __hash__(self):
-        return hash("interfere.INFINITY")
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-
-Distance = Union[int, _Infinity]
+Distance = Union[int, float]
 
 
 class Graph:
@@ -181,18 +139,6 @@ def distance(G: Graph, u: int, v: int) -> Distance:
     return bfs_distances(G, u)[v]
 
 
-def distance_to_set(G: Graph, u: int, target_mask: int) -> Distance:
-    """min over v in target of d(u, v); the target set must be nonempty."""
-    if target_mask == 0:
-        raise ValueError("distance to the empty set is undefined")
-    dist = bfs_distances(G, u)
-    best: Distance = INFINITY
-    for v in iter_bits(target_mask):
-        if dist[v] < best:
-            best = dist[v]
-    return best
-
-
 def diameter(G: Graph) -> Distance:
     best: Distance = 0
     for u in G.vertices():
@@ -203,7 +149,7 @@ def diameter(G: Graph) -> Distance:
 
 
 def is_connected(G: Graph) -> bool:
-    return all(isinstance(d, int) for d in bfs_distances(G, 0))
+    return INFINITY not in bfs_distances(G, 0)
 
 
 def components(G: Graph) -> List[int]:
@@ -255,11 +201,6 @@ def is_regular(G: Graph) -> Optional[int]:
     """The common degree if G is regular, else None."""
     degs = {mask.bit_count() for mask in G.adj}
     return degs.pop() if len(degs) == 1 else None
-
-
-def min_max_degree(G: Graph) -> Tuple[int, int]:
-    degs = [mask.bit_count() for mask in G.adj]
-    return min(degs), max(degs)
 
 
 def independence_number(G: Graph, cap: int = 16) -> int:

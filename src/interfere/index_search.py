@@ -25,8 +25,8 @@ set) and prunes with:
   Lee, CP 2004), so no orbit loses its solutions.
 
 symmetry=False turns off both symmetry rules; the propagation rules always
-run.  Every assignment counts against a node budget; exceeding it raises
-SearchBudgetExceeded rather than returning a verdict.
+run.  Every assignment, over all phases of one call, counts against one node
+budget; exceeding it raises SearchBudgetExceeded rather than returning a verdict.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from typing import List, Optional, Tuple
 
 from .bitset import iter_bits
 from .core import Pattern, SetLabeling, expand_pattern, is_pattern_interference
-from .domination import is_dominating
 from .errors import CapExceededError, NoDominatingSetError, SearchBudgetExceeded
 from .graphs import Graph
 
@@ -87,16 +86,22 @@ class IndexResult:
         }
 
 
-def _constraints_for(G: Graph, D_masks) -> Optional[List[Tuple[int, int]]]:
-    """Deduplicated (vertex, candidate-mask) pairs; None when trivially unsatisfiable."""
+def _constraints_for(G: Graph, family) -> List[Tuple[int, int]]:
+    """Deduplicated (vertex, candidate-mask) pairs for the target sets.
+
+    Raises NoDominatingSetError for the first set that fails to dominate: no
+    labeling can serve a vertex with no neighbor inside the set.
+    """
     seen = set()
-    for D in D_masks:
+    for D in family:
         for u in G.vertices():
             if D >> u & 1:
                 continue
             cands = G.adj[u] & D
             if cands == 0:
-                return None
+                raise NoDominatingSetError(
+                    f"target set {sorted(iter_bits(D))} does not dominate; index undefined"
+                )
             seen.add((u, cands))
     return sorted(seen)
 
@@ -133,14 +138,14 @@ def _twin_classes(n: int, constraints) -> List[int]:
 
 
 class _Kernel:
-    def __init__(self, G: Graph, constraints, m: int, budget: int, symmetry: bool):
+    def __init__(self, G: Graph, constraints, m: int, budget: int, symmetry: bool, spent: int = 0):
         self.n = G.n
         self.m = m
         K = (1 << m) - 1  # codes run 1..K
         self.all_codes = ((1 << (K + 1)) - 1) & ~1
         self.budget = budget
         self.symmetry = symmetry
-        self.nodes = 0
+        self.nodes = spent  # earlier phases of the same call share the budget
         # subsets[x] = mask of codes that are subsets of element-mask x (incl. 0)
         subsets = [1] * (K + 1)
         for x in range(1, K + 1):
@@ -255,23 +260,24 @@ class _Kernel:
         return None
 
 
-def _phase(G: Graph, D_masks, m: int, budget: int, symmetry: bool):
-    """One fixed-m existence decision; returns (witness or None, nodes used)."""
+def _phase(G: Graph, constraints, m: int, budget: int, symmetry: bool, spent: int = 0):
+    """One fixed-m existence decision; returns (witness or None, nodes used).
+
+    constraints is None when some target set fails to dominate.  The budget
+    bounds spent (the nodes of earlier phases) plus this phase's nodes.
+    """
     if m < 1:
         raise ValueError("ground set size must be >= 1")
     if m > _MAX_GROUND:
         raise CapExceededError(f"search capped at m <= {_MAX_GROUND}")
-    if G.n > (1 << m) - 1:
-        return None, 0  # not enough distinct nonempty labels
-    constraints = _constraints_for(G, D_masks)
-    if constraints is None:
-        return None, 0  # some target set fails to dominate
-    kern = _Kernel(G, constraints, m, budget, symmetry)
-    return kern.search(), kern.nodes
+    if constraints is None or G.n > (1 << m) - 1:
+        return None, 0  # a set fails to dominate, or too few distinct nonempty labels
+    kern = _Kernel(G, constraints, m, budget, symmetry, spent)
+    return kern.search(), kern.nodes - spent
 
 
-def _checked(G: Graph, P: Pattern, witness: Optional[SetLabeling]) -> Optional[SetLabeling]:
-    if witness is not None and not is_pattern_interference(G, P, witness):
+def _checked(G: Graph, family, witness: Optional[SetLabeling]) -> Optional[SetLabeling]:
+    if witness is not None and not is_pattern_interference(G, Pattern.explicit(family), witness):
         raise RuntimeError("search produced a witness that does not interfere (bug)")
     return witness
 
@@ -288,7 +294,12 @@ def exists_interference(
     The None verdict is exhaustive (complete search); running out of node
     budget raises instead of answering.
     """
-    return _checked(G, P, _phase(G, expand_pattern(G, P), m, budget, symmetry)[0])
+    family = expand_pattern(G, P)
+    try:
+        constraints = _constraints_for(G, family)
+    except NoDominatingSetError:
+        constraints = None  # answered by _phase, after it has checked m
+    return _checked(G, family, _phase(G, constraints, m, budget, symmetry)[0])
 
 
 def interference_index(
@@ -305,23 +316,19 @@ def interference_index(
     a vertex with no neighbor inside the set), reported as
     NoDominatingSetError.
     """
-    D_masks = expand_pattern(G, P)
-    for D in D_masks:
-        if not is_dominating(G, D):
-            raise NoDominatingSetError(
-                f"target set {sorted(iter_bits(D))} does not dominate; index undefined"
-            )
+    family = expand_pattern(G, P)
+    constraints = _constraints_for(G, family)
     lower = index_lower_bound(G.n)
     upper = universal_upper_bound(G.n)
     hi = upper if max_m is None else max_m
     trace: List[PhaseOutcome] = []
     total = 0
     for m in range(lower, hi + 1):
-        witness, nodes = _phase(G, D_masks, m, budget - total, symmetry=True)
+        witness, nodes = _phase(G, constraints, m, budget, symmetry=True, spent=total)
         total += nodes
         trace.append(PhaseOutcome(m, witness is not None, nodes))
         if witness is not None:
-            return IndexResult(m, _checked(G, P, witness), lower, total, tuple(trace))
+            return IndexResult(m, _checked(G, family, witness), lower, total, tuple(trace))
     if hi < upper:
         raise CapExceededError(f"no interference found up to max_m={hi}")
     raise RuntimeError("exhausted the certified upper bound without a witness (bug)")

@@ -162,6 +162,14 @@ class TestIndex:
         assert code == OK
         assert obj["defined"] is False and "reason" in obj
 
+    def test_undefined_wins_over_max_m(self, tmp_path):
+        sets = tmp_path / "sets.json"
+        sets.write_text(json.dumps([[0]]))
+        code, obj = run_cli_json(
+            ["index", "--graph", "path:3", "--pattern", f"explicit:{sets}", "--max-m", "0"]
+        )
+        assert code == OK and obj["defined"] is False
+
     def test_cross_pairs_on_bipartite_graph(self):
         code, obj = run_cli_json(["index", "--graph", "kpq:2,3", "--pattern", "cross-pairs"])
         assert code == OK
@@ -179,6 +187,12 @@ class TestIndex:
         )
         assert code == BUDGET
         assert json.loads(out)["error"]["kind"] == "budget"
+
+    def test_budget_message_names_the_given_budget(self):
+        # 9 nodes refute m=3, so the budget runs out 4 nodes into m=4
+        code, obj = run_cli_json(["index", "--graph", "complete:5", "--budget", "12"])
+        assert code == BUDGET
+        assert obj["error"]["message"] == "node budget 12 exhausted at m=4"
 
     def test_budget_env(self, monkeypatch):
         monkeypatch.setenv("INTERFERE_BUDGET", "2")
@@ -350,6 +364,22 @@ class TestSweep:
             ["sweep", "--suite", "nbd-oracle", "--graphs-file", str(p)]
         )
         assert code == OK and obj["graph_count"] == 2 and obj["ok"] is True
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--graph", "file:{}"],
+        ["check", "--graph", "complete:3", "--labeling", "{}", "--set", "0"],
+        ["index", "--graph", "path:3", "--pattern", "explicit:{}"],
+        ["sweep", "--suite", "nbd-oracle", "--graphs-file", "{}"],
+    ], ids=["file", "labeling", "explicit", "graphs-file"])
+    def test_file_that_is_not_utf8_is_a_format_error(self, tmp_path, argv):
+        p = tmp_path / "input"
+        p.write_bytes(b"\xff\xfe")
+        code, obj = run_cli_json([tok.format(p) for tok in argv])
+        assert code == FORMAT
+        assert obj["error"]["kind"] == "format"
+        assert obj["error"]["message"].startswith(f"cannot read {p}: ")
 
 
 class TestHarness:

@@ -131,7 +131,7 @@ class TestPatterns:
     def test_all_dominating_reduces_to_minimal(self):
         G = itf.cycle(5)
         reduced = set(expand_pattern(G, Pattern.all_dominating()))
-        assert reduced == set(itf.minimal_dominating_sets(G).sets)
+        assert reduced == set(itf.minimal_dominating_sets(G))
         assert reduced < set(itf.all_dominating_sets(G))
 
     @pytest.mark.parametrize("n", range(2, 6))
@@ -189,6 +189,6 @@ class TestCompleteness:
     def test_complete_implies_every_dominating_pattern(self, n):
         for G in itf.all_graphs(n):
             lab = build_complete_interference(n)
-            fam = itf.minimal_dominating_sets(G).sets
+            fam = itf.minimal_dominating_sets(G)
             for D in fam:
                 assert is_interference(G, D, lab)

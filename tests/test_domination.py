@@ -44,13 +44,13 @@ class TestEnumeration:
     def test_matches_subset_scan(self, n):
         for G in itf.all_graphs(n):
             fam = itf.minimal_dominating_sets(G)
-            got = {frozenset(bit_list(D)) for D in fam.sets}
+            got = {frozenset(bit_list(D)) for D in fam}
             assert got == set(brute_minimal_dominating_sets(G)), itf.to_graph6(G)
-            assert len(got) == len(fam.sets)  # no duplicates emitted
+            assert len(got) == len(fam)  # no duplicates emitted
 
     def test_path3_anchor(self):
         fam = itf.minimal_dominating_sets(itf.path(3))
-        assert [bit_list(D) for D in fam.sets] == [[1], [0, 2]]
+        assert [bit_list(D) for D in fam] == [[1], [0, 2]]
 
     def test_complete_bipartite_structure(self):
         r, s = 2, 3
@@ -61,7 +61,7 @@ class TestEnumeration:
             frozenset({u, w}) for u in range(r) for w in range(r, r + s)
         }
         fam = itf.minimal_dominating_sets(G)
-        assert {frozenset(bit_list(D)) for D in fam.sets} == want
+        assert {frozenset(bit_list(D)) for D in fam} == want
 
     def test_all_dominating_sets(self):
         for G in itf.graphs_upto(5):
@@ -71,7 +71,7 @@ class TestEnumeration:
 
     def test_every_dominating_contains_a_minimal(self):
         for G in itf.all_graphs(5):
-            minimals = itf.minimal_dominating_sets(G).sets
+            minimals = itf.minimal_dominating_sets(G)
             for D in itf.all_dominating_sets(G):
                 assert any(M & ~D == 0 for M in minimals)
 
@@ -79,8 +79,7 @@ class TestEnumeration:
         with pytest.raises(itf.CapExceededError):
             itf.minimal_dominating_sets(itf.complete(17))
 
-    def test_family_metadata(self):
-        G = itf.cycle(5)
-        fam = itf.minimal_dominating_sets(G)
-        assert fam.n == 5
-        assert fam.graph_hash == itf.fingerprint(G)["edge_hash"]
+    def test_returns_canonically_ordered_tuple(self):
+        fam = itf.minimal_dominating_sets(itf.cycle(5))
+        assert isinstance(fam, tuple)
+        assert [bit_list(D) for D in fam] == [[0, 2], [0, 3], [1, 3], [1, 4], [2, 4]]

@@ -24,11 +24,11 @@ class TestDistancePattern:
     def test_path_from_one_end(self):
         pat = distance_pattern(path(4), mask_of([0]))
         assert pat.ground_size == 4
-        assert pat.patterns == (1 << 0, 1 << 1, 1 << 2, 1 << 3)
+        assert pat.labels == (1 << 0, 1 << 1, 1 << 2, 1 << 3)
 
     def test_two_markers_merge_distance_sets(self):
         pat = distance_pattern(path(4), mask_of([0, 3]))
-        assert [sorted(bit_list(p)) for p in pat.patterns] == [
+        assert pat.as_sets() == [
             [0, 3],
             [1, 2],
             [1, 2],
@@ -66,7 +66,7 @@ class TestDpdSets:
     def test_matches_pattern_distinctness(self):
         for G in itf.connected_graphs_upto(5):
             for M in range(1, 1 << G.n):
-                pats = distance_pattern(G, M).patterns
+                pats = distance_pattern(G, M).labels
                 assert is_dpd_set(G, M) == (len(set(pats)) == G.n)
 
 
@@ -77,8 +77,7 @@ class TestInterferenceCheck:
     def test_matches_definitional_oracle(self):
         for G in itf.connected_graphs_upto(5):
             for M in range(1, 1 << G.n):
-                pat = distance_pattern(G, M)
-                lab = pat.labeling()
+                lab = distance_pattern(G, M)
                 if itf.is_valid_labeling(lab):
                     want = is_interference(complete(G.n), M, lab)
                 else:
@@ -131,7 +130,7 @@ class TestPathConstruction:
         pat = distance_pattern(path(n), M)
         joint = 0
         for v in markers:
-            joint |= pat.patterns[v]
+            joint |= pat.labels[v]
         assert all(joint >> d & 1 for d in range(1, r))
         assert all(
             min(abs(w - v) for v in markers) <= r - 1 for w in range(n)

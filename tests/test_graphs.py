@@ -113,11 +113,6 @@ class TestMetrics:
         assert diameter(Graph(2, [])) == INFINITY
         assert diameter(complete(1)) == 0
 
-    def test_distance_to_set(self):
-        G = path(5)
-        assert itf.distance_to_set(G, 4, mask_of([0, 1])) == 3
-        assert itf.distance_to_set(G, 1, mask_of([1])) == 0
-
     def test_connectivity_and_components(self):
         G = Graph(5, [(0, 1), (2, 3)])
         assert not itf.is_connected(G)
@@ -154,7 +149,6 @@ class TestMetrics:
     def test_regularity(self):
         assert itf.is_regular(cycle(6)) == 2
         assert itf.is_regular(path(3)) is None
-        assert itf.min_max_degree(path(4)) == (1, 2)
 
     def test_edge_in_triangle(self):
         G = itf.star_polygon(3)

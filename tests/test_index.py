@@ -71,7 +71,7 @@ class TestSearchAgainstBrute:
 
     def test_minimal_dominating_families(self):
         for G in itf.connected_graphs(5):
-            fam = itf.minimal_dominating_sets(G).sets
+            fam = itf.minimal_dominating_sets(G)
             got = exists_interference(G, Pattern.all_minimal_dominating(), 3)
             want = brute_exists_interference(G, [list(itf.bit_list(D)) for D in fam], 3)
             assert (got is not None) == want, itf.to_graph6(G)
@@ -160,11 +160,12 @@ class TestPropagation:
                 (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
             ])
             if rng.random() < 0.5:
-                D_masks = itf.minimal_dominating_sets(G).sets
+                D_masks = itf.minimal_dominating_sets(G)
             else:
                 D_masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))]
-            constraints = _constraints_for(G, D_masks)
-            if constraints is None:
+            try:
+                constraints = _constraints_for(G, D_masks)
+            except NoDominatingSetError:
                 continue
             m = index_lower_bound(n) + rng.randint(0, 1)
             kern = _Kernel(G, constraints, m, 10**6, True)
@@ -214,6 +215,37 @@ class TestIndexMachinery:
         with pytest.raises(SearchBudgetExceeded) as info:
             interference_index(complete(6), Pattern.singletons(), budget=3)
         assert info.value.nodes >= 3
+
+    def test_budget_bounds_the_whole_call(self):
+        G, P = complete(5), Pattern.singletons()
+        res = interference_index(G, P)
+        total = res.nodes_explored
+        assert total == sum(p.nodes for p in res.trace)
+        assert interference_index(G, P, budget=total).trace == res.trace
+        with pytest.raises(SearchBudgetExceeded) as info:
+            interference_index(G, P, budget=total - 1)
+        assert str(info.value).startswith(f"node budget {total - 1} exhausted")
+        assert info.value.nodes == total
+
+    def test_undominated_family_precedence(self):
+        # undefined before any phase, even when max_m leaves no phase to run
+        with pytest.raises(NoDominatingSetError):
+            interference_index(itf.path(3), Pattern.explicit([0b001]), max_m=0)
+        # a single m is checked first, and then the family answers None
+        with pytest.raises(ValueError):
+            exists_interference(itf.path(3), Pattern.explicit([0b001]), 0)
+        with pytest.raises(CapExceededError):
+            exists_interference(itf.path(3), Pattern.explicit([0b001]), 15)
+        assert exists_interference(itf.path(3), Pattern.explicit([0b001]), 2) is None
+
+    def test_expands_the_family_once(self, monkeypatch):
+        calls = []
+        enumerate_minimal = itf.core.minimal_dominating_sets
+        monkeypatch.setattr(
+            itf.core, "minimal_dominating_sets", lambda G: calls.append(G) or enumerate_minimal(G)
+        )
+        res = interference_index(complete(5), Pattern.all_dominating())
+        assert len(res.trace) == 2 and len(calls) == 1
 
     def test_max_m_cap(self):
         with pytest.raises(CapExceededError):
@@ -332,7 +364,7 @@ class TestBipartiteIndex:
         G = complete_bipartite(6, 6)
         res = interference_index(G, Pattern.all_dominating())
         assert res.index == 5
-        for D in itf.minimal_dominating_sets(G).sets:
+        for D in itf.minimal_dominating_sets(G):
             assert brute_is_interference(G, itf.bit_list(D), res.witness)
 
     def test_one_side_as_target(self):

@@ -45,7 +45,7 @@ def graph_and_pattern(draw):
     if draw(st.booleans()):
         return G, Pattern.all_minimal_dominating()
     # an explicit subfamily can make graph twins asymmetric
-    minimal = itf.minimal_dominating_sets(G).sets
+    minimal = itf.minimal_dominating_sets(G)
     picked = draw(st.lists(st.sampled_from(minimal), min_size=1, max_size=4, unique=True))
     return G, Pattern.explicit(picked)
 
