@@ -132,6 +132,7 @@ from .neighborhood import (
     LabelingReport,
     closed_labeling,
     complemented_complete,
+    complemented_escapes,
     complemented_interference_of,
     complemented_labeling,
     complemented_sufficient_rule,
@@ -141,6 +142,7 @@ from .neighborhood import (
     neighborhood_labeling,
     neighborhood_singleton,
     two_path_complete,
+    two_path_graph,
 )
 
 __version__ = "0.1.0"

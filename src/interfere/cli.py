@@ -53,6 +53,7 @@ from .graphs import (
     fingerprint,
     from_edge_list,
     from_graph6,
+    is_point_determining,
     line_graph,
     to_edge_list_text,
     to_graph6,
@@ -79,6 +80,7 @@ from .linegraph import (
 from .neighborhood import (
     closed_labeling,
     complemented_complete,
+    complemented_escapes,
     complemented_interference_of,
     complemented_labeling,
     complemented_sufficient_rule,
@@ -88,6 +90,7 @@ from .neighborhood import (
     neighborhood_labeling,
     neighborhood_singleton,
     two_path_complete,
+    two_path_graph,
 )
 
 SCHEMA = "2"
@@ -97,7 +100,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_FORMAT = 4
 
-_EXHAUSTIVE_SWEEP_N = 5  # below this, sweeps try every nonempty D
+_EXHAUSTIVE_SWEEP_N = 5  # up to this order, sweeps try every nonempty D
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +459,9 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
         # the definitional route: each labeling's overlap graph, built once
         h_open = overlap_graph(Kn, nrep.labeling) if nrep.valid else None
         h_comp = overlap_graph(Kn, crep.labeling) if crep.valid else None
+        # the structural route's per-graph facts, also built once
+        two_path = two_path_graph(G)
+        comp_valid = is_point_determining(G)
 
         for D, kind, thm, orc in (
             (None, "open_complete", neighborhood_complete(G),
@@ -468,9 +474,9 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
                 mismatches.append({"graph6": g6, "kind": kind, "set": None})
         for D in _target_sets(G, args.seed, args.samples):
             for kind, thm, orc in (
-                ("open_set", neighborhood_interference_of(G, D),
+                ("open_set", two_path is not None and is_dominating(two_path, D),
                  h_open is not None and is_dominating(h_open, D)),
-                ("complemented_set", complemented_interference_of(G, D),
+                ("complemented_set", comp_valid and complemented_escapes(G, D),
                  h_comp is not None and is_dominating(h_comp, D)),
             ):
                 checks += 1
@@ -522,6 +528,10 @@ _SUITES = {
 
 
 def cmd_sweep(args) -> dict:
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     runner = _SUITES[args.suite]
     graph_count, check_count, mismatches = runner(args)
     mismatches.sort(key=lambda m: (m["graph6"], m["kind"], str(m["set"])))

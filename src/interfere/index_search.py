@@ -183,20 +183,28 @@ class _Kernel:
         changed = True
         while changed:
             changed = False
-            # all-different: committed codes leave every other domain
-            union_all = 0
+            # all-different: committed codes leave every other domain, those
+            # of earlier vertices as the pass reaches it, the rest after it
+            union_all = committed = 0
             for v in range(n):
                 d = dom[v]
+                if d & committed and d & (d - 1):
+                    dom[v] = d = d & ~committed
+                    changed = True
                 if d == 0:
                     return False
                 union_all |= d
                 if d & (d - 1) == 0:
-                    for w in range(n):
-                        if w != v and dom[w] & d:
-                            dom[w] &= ~d
-                            changed = True
+                    if committed & d:
+                        return False  # two vertices committed to one code
+                    committed |= d
             if union_all.bit_count() < n:
                 return False
+            for v in range(n):
+                d = dom[v]
+                if d & committed and d & (d - 1):
+                    dom[v] = d & ~committed
+                    changed = True
             eu = [union(d) for d in dom]
             for u, vs in self.constraints:
                 big = 0
@@ -228,20 +236,22 @@ class _Kernel:
         return True
 
     def search(self) -> Optional[SetLabeling]:
+        """Depth-first over the assignment order with an explicit stack, one
+        frame per assigned position, so the depth is not bounded by Python's
+        recursion limit."""
         dom = [self.all_codes] * self.n
         if not self._propagate(dom):
             return None
-        return self._dfs(0, dom, 0)
-
-    def _dfs(self, pos: int, dom: List[int], used: int) -> Optional[SetLabeling]:
-        if pos == self.n:
-            return SetLabeling(self.m, tuple(d.bit_length() - 1 for d in dom))
-        u = self.order[pos]
-        codes = dom[u]
-        twin = self.twin[pos]
-        if twin >= 0:
-            codes &= -(dom[twin] << 1)  # twins take increasing codes along the order
-        for code in iter_bits(codes):
+        stack = [[dom, 0, self._codes(0, dom)]]  # [domains, elements used, codes left]
+        while stack:
+            frame = stack[-1]
+            dom, used, codes = frame
+            if codes == 0:
+                stack.pop()
+                continue
+            low = codes & -codes
+            frame[2] = codes ^ low
+            code = low.bit_length() - 1
             if self.symmetry:
                 high = code >> used
                 if high & (high + 1):
@@ -251,13 +261,22 @@ class _Kernel:
                 raise SearchBudgetExceeded(
                     f"node budget {self.budget} exhausted at m={self.m}", self.nodes
                 )
+            pos = len(stack) - 1
             nd = list(dom)
-            nd[u] = 1 << code
+            nd[self.order[pos]] = 1 << code
             if self._propagate(nd):
-                res = self._dfs(pos + 1, nd, max(used, code.bit_length()))
-                if res is not None:
-                    return res
+                if pos + 1 == self.n:
+                    return SetLabeling(self.m, tuple(d.bit_length() - 1 for d in nd))
+                stack.append([nd, max(used, code.bit_length()), self._codes(pos + 1, nd)])
         return None
+
+    def _codes(self, pos: int, dom: List[int]) -> int:
+        """Codes to try at position pos of the order."""
+        codes = dom[self.order[pos]]
+        twin = self.twin[pos]
+        if twin >= 0:
+            codes &= -(dom[twin] << 1)  # twins take increasing codes along the order
+        return codes
 
 
 def _phase(G: Graph, constraints, m: int, budget: int, symmetry: bool, spent: int = 0):

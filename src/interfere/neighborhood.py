@@ -9,14 +9,22 @@ criterion evaluated on G directly; the definitional route (build the
 labeling, run the core predicate) lives in core and is what the tests
 compare against.  The closed labeling u -> N[u] is the exception: its
 interference is taken with respect to G itself.
+
+Each target-set criterion splits into a per-graph fact and a cheap test per
+target set D.  The open criterion is domination of the two-path graph T(G),
+where u ~ v when N(u) and N(v) meet, i.e. u and v lie at distance two or on
+a common triangle; two_path_graph builds it from those terms, not from the
+labels.  The complemented criterion is point-determinacy plus
+complemented_escapes, a test on the common neighborhood of D.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .bitset import iter_bits
+from .bitset import iter_bits, mask_of
 from .core import SetLabeling
+from .domination import is_dominating
 from .graphs import (
     Graph,
     bfs_distances,
@@ -89,29 +97,36 @@ def _has_isolated_vertex(G: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # open-neighborhood criteria
 
-def neighborhood_interference_of(G: Graph, D: int) -> bool:
-    """Structural test that u -> N(u) interferes for D.
+def two_path_graph(G: Graph) -> Optional[Graph]:
+    """T(G): u ~ v when u and v lie at distance two, or on a common triangle.
 
-    Needs a point-determining graph without isolated vertices, every outside
-    vertex within distance two of D, and, when no distance-two vertex of D
-    exists for u, some member of D adjacent to u forming a triangle with it.
+    These are the pairs joined by a path of length two, so T(G) is the
+    overlap graph of u -> N(u) with respect to the complete graph.  None when
+    u -> N(u) is not a valid labeling: G is not point-determining, or has an
+    isolated vertex.
+    """
+    if not is_point_determining(G) or _has_isolated_vertex(G):
+        return None
+    edges = []
+    for u in G.vertices():
+        triangle = mask_of(v for v in iter_bits(G.adj[u]) if G.adj[u] & G.adj[v])
+        later = (second_neighborhood(G, u) | triangle) >> (u + 1)
+        edges.extend((u, u + 1 + i) for i in iter_bits(later))
+    return Graph(G.n, edges)
+
+
+def neighborhood_interference_of(G: Graph, D: int) -> bool:
+    """Structural test that u -> N(u) interferes for D: D dominates T(G).
+
+    Every vertex outside D needs a member of D at distance two, or a member
+    of D adjacent to it forming a triangle with it.
     """
     if D == 0:
         raise ValueError("D must be nonempty")
     if D >> G.n:
         raise ValueError("D has vertices outside the graph")
-    if not is_point_determining(G) or _has_isolated_vertex(G):
-        return False
-    for u in G.vertices():
-        if D >> u & 1:
-            continue
-        near = G.adj[u] & D
-        ring2 = second_neighborhood(G, u) & D
-        if near == 0 and ring2 == 0:
-            return False  # D out of reach of u
-        if ring2 == 0 and not any(G.adj[u] & G.adj[v] for v in iter_bits(near)):
-            return False
-    return True
+    T = two_path_graph(G)
+    return T is not None and is_dominating(T, D)
 
 
 def neighborhood_complete(G: Graph) -> bool:
@@ -165,25 +180,26 @@ def two_path_complete(G: Graph) -> bool:
 # complemented-neighborhood criteria
 
 def complemented_interference_of(G: Graph, D: int) -> bool:
-    """Structural test that u -> V \\ N(u) interferes for D.
-
-    Only vertices adjacent to all of D are at risk: such a u needs a
-    nonneighbor that also misses some member of D, i.e. V \\ N(u) must
-    escape the common neighborhood of D.
-    """
+    """Structural test that u -> V \\ N(u) interferes for D: G is
+    point-determining and complemented_escapes(G, D) holds."""
     if D == 0:
         raise ValueError("D must be nonempty")
     if D >> G.n:
         raise ValueError("D has vertices outside the graph")
-    if not is_point_determining(G):
-        return False
-    joined_to_all = G.full_mask
+    return is_point_determining(G) and complemented_escapes(G, D)
+
+
+def complemented_escapes(G: Graph, D: int) -> bool:
+    """Per-D half of the complemented criterion, for nonempty D.
+
+    Only vertices adjacent to all of D are at risk: such a u needs a
+    nonneighbor that also misses some member of D, i.e. V \\ N(u) must
+    escape the common neighborhood of D.  That neighborhood never meets D.
+    """
+    common = G.full_mask
     for v in iter_bits(D):
-        joined_to_all &= G.adj[v]
-    return all(
-        complemented_neighborhood(G, u) & ~joined_to_all
-        for u in iter_bits(joined_to_all & ~D)
-    )
+        common &= G.adj[v]
+    return all((G.adj[u] | common) != G.full_mask for u in iter_bits(common))
 
 
 def complemented_complete(G: Graph) -> bool:

@@ -1,6 +1,7 @@
 """Command line interface: formats, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -194,6 +195,25 @@ class TestIndex:
         assert code == BUDGET
         assert obj["error"]["message"] == "node budget 12 exhausted at m=4"
 
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self, tmp_path):
+        # One search level per vertex: star:1000 ran out of frames under the
+        # default limit, and star:200 needs more than the 150 frames left here.
+        sets = tmp_path / "sets.json"
+        sets.write_text(json.dumps([[0]]))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            code, obj = run_cli_json(
+                ["index", "--graph", "star:200", "--pattern", f"explicit:{sets}"]
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == OK
+        assert obj["index"] == 8 and obj["nodes_explored"] == 203
+
     def test_budget_env(self, monkeypatch):
         monkeypatch.setenv("INTERFERE_BUDGET", "2")
         code, out = run_cli(["index", "--graph", "complete:5", "--pattern", "singletons"])
@@ -342,6 +362,21 @@ class TestDpd:
         assert code == USAGE
 
 
+def _drop_first_edge(two_path_graph):
+    def wrong(G):
+        T = two_path_graph(G)
+        return T if T is None or not T.edges else itf.Graph(T.n, T.edges[1:])
+    return wrong
+
+
+# Per-graph facts and per-set tests of the nbd-oracle sweep, each made wrong.
+WRONG_CRITERIA = {
+    "two_path_graph": _drop_first_edge,
+    "is_point_determining": lambda real: lambda G: True,
+    "complemented_escapes": lambda real: lambda G, D: real(G, D & (D - 1) or D),  # D less its lowest vertex
+}
+
+
 class TestSweep:
     def test_nbd_oracle_small(self):
         code, obj = run_cli_json(["sweep", "--suite", "nbd-oracle", "--max-n", "4"])
@@ -364,6 +399,29 @@ class TestSweep:
             ["sweep", "--suite", "nbd-oracle", "--graphs-file", str(p)]
         )
         assert code == OK and obj["graph_count"] == 2 and obj["ok"] is True
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "-3", "--samples must be >= 0, got -3"),
+        ("--max-n", "0", "--max-n must be >= 1, got 0"),
+        ("--max-n", "-1", "--max-n must be >= 1, got -1"),
+    ])
+    def test_vacuous_sweep_is_a_usage_error(self, flag, value, message):
+        code, obj = run_cli_json(["sweep", "--suite", "nbd-oracle", flag, value])
+        assert code == USAGE
+        assert obj["error"] == {"kind": "usage", "message": message}
+
+    def test_zero_samples_still_runs_the_exhaustive_orders(self):
+        code, obj = run_cli_json(["sweep", "--suite", "nbd-oracle", "--max-n", "5", "--samples", "0"])
+        assert code == OK and obj["ok"] is True and obj["check_count"] > 0
+
+    @pytest.mark.parametrize("name", sorted(WRONG_CRITERIA))
+    def test_catches_a_wrong_criterion(self, monkeypatch, name):
+        from interfere import cli
+
+        monkeypatch.setattr(cli, name, WRONG_CRITERIA[name](getattr(cli, name)))
+        code, obj = run_cli_json(["sweep", "--suite", "nbd-oracle", "--max-n", "5"])
+        assert code == OK
+        assert obj["mismatch_count"] > 0 and obj["ok"] is False
 
 
 class TestUnreadableInput:

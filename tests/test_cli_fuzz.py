@@ -2,13 +2,17 @@
 JSON error object with a documented exit code, never in a traceback.
 
 Values are kept small (family parameters <= 8, brm --r/--m <= 5, --max-n <= 4,
---catalog <= 5, --budget <= 5,000) so that each call takes milliseconds.
+--catalog <= 5, --budget <= 5,000) so that each call takes milliseconds.  Fixed
+examples add inputs that the drawn space leaves out on purpose: an index search
+1,001 levels deep on star:1000, which once ended in a RecursionError.  Hypothesis
+raises the recursion limit while it runs a test, so the test that pins the
+search depth against the limit is in test_cli.py.
 """
 
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli
@@ -144,6 +148,8 @@ def test_main_never_escapes(files):
 
     @FUZZ
     @given(cli_calls(input_file, missing))
+    @example((["index", "--graph", "star:1000", "--pattern", f"explicit:{input_file}",
+               "--budget", "5000"], b"[[0]]"))
     def run(call):
         argv, content = call
         input_file.write_bytes(content)

@@ -13,6 +13,7 @@ import interfere as itf
 from interfere import (
     Graph,
     complemented_complete,
+    complemented_escapes,
     complemented_interference_of,
     complemented_labeling,
     complete,
@@ -28,6 +29,7 @@ from interfere import (
     neighborhood_singleton,
     path,
     two_path_complete,
+    two_path_graph,
     wheel,
 )
 
@@ -112,6 +114,32 @@ class TestOpenRouteEquivalence:
                     for u in itf.iter_bits(G.full_mask & ~D)
                 )
                 assert neighborhood_interference_of(G, D) == want, (itf.to_graph6(G), bin(D))
+
+
+class TestTwoPathGraph:
+    """The open criterion as a graph identity: T(G), built from distance-two
+    and triangle terms, is the overlap graph of u -> N(u) in K_n."""
+
+    def test_is_the_overlap_graph_of_the_open_labeling(self):
+        graphs = [G for n in range(1, 8) for G in itf.all_graphs(n)]
+        assert len(graphs) == 1252
+        built = 0
+        for G in graphs:
+            T = two_path_graph(G)
+            rep = neighborhood_labeling(G)
+            assert (T is None) == (not rep.valid), itf.to_graph6(G)
+            if T is not None:
+                built += 1
+                assert T == itf.overlap_graph(complete(G.n), rep.labeling), itf.to_graph6(G)
+        assert built == 606
+
+    def test_anchors(self):
+        assert two_path_graph(cycle(4)) is None  # opposite corners share N(u)
+        assert two_path_graph(complete(1)) is None  # isolated vertex
+        # C5: distance-two pairs only, i.e. the pentagram
+        assert two_path_graph(cycle(5)) == Graph(5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
+        # K3: every edge lies on the triangle
+        assert two_path_graph(complete(3)) == complete(3)
 
 
 class TestCompleteness:
@@ -253,6 +281,20 @@ class TestComplementedRoute:
                 assert complemented_interference_of(G, D) == oracle_interferes(
                     G, D, rep
                 )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_per_set_half_matches_the_overlap_graph(self, n):
+        """On point-determining graphs, complemented_escapes(G, D) is
+        domination of the complemented labeling's overlap graph in K_n."""
+        for G in itf.all_graphs(n):
+            rep = complemented_labeling(G)
+            assert rep.valid == itf.is_point_determining(G)
+            if not rep.valid:
+                continue
+            H = itf.overlap_graph(complete(n), rep.labeling)
+            for D in range(1, 1 << n):
+                assert complemented_escapes(G, D) == itf.is_dominating(H, D), (
+                    itf.to_graph6(G), bin(D))
 
     def test_matches_prose_form(self):
         """The criterion again in prose form: every vertex outside D that is
