@@ -1,26 +1,40 @@
 """Exhaustive isomorphism-free catalogs of small graphs.
 
-Graphs on n vertices are produced by augmenting every (n-1)-vertex
-representative with one new vertex attached in each of the 2^(n-1) possible
-ways, then deduplicating by an exact canonical certificate.  The certificate
-is the minimum upper-triangle adjacency code over all vertex orderings
-compatible with the stable color-refinement partition; refinement classes cut
-the ordering space to a tractable size at these orders.
+The certificate of a graph is the minimum upper-triangle adjacency code over
+the vertex orderings compatible with the stable color-refinement partition.
+It is found row by row.  Position i takes a vertex v from the first cell of an
+ordered partition, and every later cell, with the rest of the first cell,
+splits into v's non-neighbors followed by its neighbors: that makes row i of
+the code as small as it can be for v.  Only the candidates with the smallest
+row are expanded, and a branch whose rows already exceed the best leaf's is
+cut.  Of mutual twins in a cell only one is tried: swapping two twins is an
+automorphism that fixes every placed vertex, so the skipped subtree gives the
+same codes.
 
-Known totals used by the tests: 1, 2, 4, 11, 34, 156, 1044 graphs and
-1, 1, 2, 6, 21, 112, 853 connected graphs on 1..7 vertices.
+Graphs on n vertices are produced by augmenting every (n-1)-vertex
+representative R with one new vertex, then deduplicating by certificate.  The
+search run on R finds automorphisms of R: a transposition for each skipped
+twin, and the map between the orderings of any two leaves with the best code.
+R is augmented only with the neighbor sets that start a new orbit under
+those automorphisms.  They span a subgroup of Aut(R), so some isomorphic
+augmentations remain; the certificate removes them, and the catalog is exact.
+
+Known totals used by the tests: 1, 2, 4, 11, 34, 156, 1044, 12346 graphs and
+1, 1, 2, 6, 21, 112, 853, 11117 connected graphs on 1..8 vertices.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .bitset import iter_bits
 from .errors import CapExceededError
 from .graphs import Graph, is_connected
 
 MAX_CATALOG_N = 8
+
+# A vertex map p of an automorphism: p[v] is the image of v.
+Perm = Tuple[int, ...]
 
 
 def _refine_colors(G: Graph) -> List[int]:
@@ -39,29 +53,117 @@ def _refine_colors(G: Graph) -> List[int]:
         colors = new
 
 
-def _code_for_order(G: Graph, order: Tuple[int, ...]) -> int:
-    code = 0
-    for i in range(G.n):
-        row = G.adj[order[i]]
-        for j in range(i + 1, G.n):
-            code = (code << 1) | (row >> order[j] & 1)
-    return code
+def _search(G: Graph, autos: Optional[List[Perm]] = None) -> int:
+    """The minimal adjacency code over the orderings the refinement allows.
+
+    When ``autos`` is a list, the automorphisms of G met on the way (skipped
+    twins, leaves tied for the best code) are appended to it.
+    """
+    n, adj = G.n, G.adj
+    colors = _refine_colors(G)
+    classes: dict[int, int] = {}
+    for v in G.vertices():
+        classes[colors[v]] = classes.get(colors[v], 0) | 1 << v
+    prefix = [0] * (n + 1)  # prefix[d]: code of rows 0..d-1 on the current path
+    best: List[int] = []  # prefix of the best leaf so far
+    leaves: List[List[int]] = []  # orderings reaching the best code
+    order: List[int] = []
+
+    def descend(cells: List[int]) -> None:
+        d = len(order)
+        code = prefix[d]
+        if best and code > best[d]:
+            return
+        if len(cells) == n - d:
+            # every cell is a singleton: the rest of the ordering is forced
+            rest = [C.bit_length() - 1 for C in cells]
+            for i, v in enumerate(rest):
+                a = adj[v]
+                for w in rest[i + 1:]:
+                    code = code << 1 | (a >> w & 1)
+                prefix[d + i + 1] = code
+            if not best or code < best[n]:
+                best[:] = prefix
+                leaves.clear()
+            if code == best[n]:
+                leaves.append(order + rest)
+            return
+        first = cells[0]
+        tried: List[int] = []
+        children: List[Tuple[int, int, List[int]]] = []
+        for v in iter_bits(first):
+            bv = 1 << v
+            twin = next((u for u in tried if adj[u] & ~bv == adj[v] & ~(1 << u)), None)
+            if twin is not None:
+                if autos is not None:
+                    p = list(range(n))
+                    p[twin], p[v] = v, twin
+                    autos.append(tuple(p))
+                continue
+            tried.append(v)
+            a = adj[v]
+            row = 0
+            split = []
+            for C in (first ^ bv, *cells[1:]):
+                if C:
+                    nb = C & a
+                    row = row << C.bit_count() | ((1 << nb.bit_count()) - 1)
+                    if C ^ nb:
+                        split.append(C ^ nb)
+                    if nb:
+                        split.append(nb)
+            children.append((row, v, split))
+        low = min(row for row, _, _ in children)
+        width = n - 1 - d
+        for row, v, split in children:
+            if row == low:
+                prefix[d + 1] = code << width | row
+                order.append(v)
+                descend(split)
+                order.pop()
+
+    descend([classes[c] for c in sorted(classes)])
+    if autos is not None:
+        first = leaves[0]
+        for other in leaves[1:]:
+            p = [0] * n
+            for a, b in zip(first, other):
+                p[a] = b
+            autos.append(tuple(p))
+    return best[n]
 
 
 def certificate(G: Graph) -> Tuple[int, int]:
     """Exact isomorphism certificate: (n, minimal adjacency code)."""
-    colors = _refine_colors(G)
-    classes: dict[int, list[int]] = {}
-    for v in G.vertices():
-        classes.setdefault(colors[v], []).append(v)
-    groups = [classes[c] for c in sorted(classes)]
-    best = None
-    for perm_parts in product(*(permutations(g) for g in groups)):
-        order = tuple(v for part in perm_parts for v in part)
-        code = _code_for_order(G, order)
-        if best is None or code < best:
-            best = code
-    return (G.n, best)
+    return (G.n, _search(G))
+
+
+def _orbit_starts(k: int, autos: List[Perm]) -> List[int]:
+    """The smallest subset of range(k), as a mask, in each orbit under autos."""
+    size = 1 << k
+    images = []
+    for p in set(autos):
+        img = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            img[mask] = img[mask ^ low] | 1 << p[low.bit_length() - 1]
+        images.append(img)
+    seen = bytearray(size)
+    starts = []
+    for mask in range(size):
+        if seen[mask]:
+            continue
+        starts.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for img in images:
+                y = img[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return starts
 
 
 def _graph_from_certificate(cert: Tuple[int, int]) -> Graph:
@@ -86,9 +188,11 @@ def all_graphs(n: int) -> Tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
     reps: dict[Tuple[int, int], None] = {}
-    for G in all_graphs(n - 1):
-        base = list(G.edges)
-        for mask in range(1 << (n - 1)):
+    for R in all_graphs(n - 1):
+        autos: List[Perm] = []
+        _search(R, autos)
+        base = list(R.edges)
+        for mask in _orbit_starts(n - 1, autos):
             edges = base + [(v, n - 1) for v in iter_bits(mask)]
             reps.setdefault(certificate(Graph(n, edges)))
     certs = sorted(reps, key=lambda c: (bin(c[1]).count("1"), c[1]))

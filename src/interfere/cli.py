@@ -520,19 +520,21 @@ def _sweep_index_kn(args) -> Tuple[int, int, List[dict]]:
     return count, checks, mismatches
 
 
+# suite -> (runner, smallest --max-n that checks anything): K1 has the two
+# complete criteria, while line graphs and K_n indices start at order 2
 _SUITES = {
-    "nbd-oracle": _sweep_nbd,
-    "lg-injectivity": _sweep_lg,
-    "index-kn": _sweep_index_kn,
+    "nbd-oracle": (_sweep_nbd, 1),
+    "lg-injectivity": (_sweep_lg, 2),
+    "index-kn": (_sweep_index_kn, 2),
 }
 
 
 def cmd_sweep(args) -> dict:
-    if args.max_n < 1:
-        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
+    runner, min_n = _SUITES[args.suite]
+    if args.max_n < min_n:
+        raise ValueError(f"--max-n must be >= {min_n}, got {args.max_n}")
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
-    runner = _SUITES[args.suite]
     graph_count, check_count, mismatches = runner(args)
     mismatches.sort(key=lambda m: (m["graph6"], m["kind"], str(m["set"])))
     return {

@@ -5,6 +5,8 @@ package itself runs on integer bitmasks, so agreement between the two routes
 is meaningful.  These oracles are deliberately slow and simple.
 reference_propagate is the one exception: it runs the index kernel's
 propagation rules on the kernel's bitmask domains, walking every code.
+brute_certificate walks every vertex ordering its refinement allows, which
+the package's certificate search reaches row by row.
 """
 
 import itertools
@@ -19,6 +21,57 @@ def neighbor_sets(G: Graph):
         nbrs[u].add(v)
         nbrs[v].add(u)
     return [frozenset(s) for s in nbrs]
+
+
+def brute_certificate(G: Graph):
+    """(n, minimal upper-triangle adjacency code) over every vertex ordering
+    that lists the stable color-refinement classes in color order.
+
+    Refinement starts from degree ranks; each round ranks the vertices by
+    (color, sorted neighbor colors) until no class splits.
+    """
+    nbrs = neighbor_sets(G)
+    colors = [len(nbrs[v]) for v in range(G.n)]
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v])))
+                for v in range(G.n)]
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranks[s] for s in sigs]
+        if len(set(new)) == len(set(colors)):
+            break
+        colors = new
+    groups = [[v for v in range(G.n) if colors[v] == c] for c in sorted(set(colors))]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
+        order = [v for part in parts for v in part]
+        code = 0
+        for i in range(G.n):
+            for j in range(i + 1, G.n):
+                code = code << 1 | (order[j] in nbrs[order[i]])
+        if best is None or code < best:
+            best = code
+    return (G.n, best)
+
+
+def brute_catalogs(max_n: int):
+    """Graphs on 1..max_n vertices, one per brute_certificate, as sorted edge
+    tuples in catalog order (edge count, then code).  Each order joins a new
+    vertex to every subset of every graph of the order below: no pruning.
+    """
+    levels = {1: [()]}
+    for n in range(2, max_n + 1):
+        certs = set()
+        for edges in levels[n - 1]:
+            for r in range(n):
+                for S in itertools.combinations(range(n - 1), r):
+                    H = Graph(n, list(edges) + [(v, n - 1) for v in S])
+                    certs.add(brute_certificate(H))
+        pairs = list(itertools.combinations(range(n), 2))
+        levels[n] = [
+            tuple(e for k, e in enumerate(pairs) if code >> (len(pairs) - 1 - k) & 1)
+            for _, code in sorted(certs, key=lambda c: (bin(c[1]).count("1"), c[1]))
+        ]
+    return levels
 
 
 def brute_is_dominating(G: Graph, D) -> bool:

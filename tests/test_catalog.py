@@ -6,18 +6,19 @@ import networkx as nx
 import pytest
 
 import interfere as itf
-from interfere import Graph, certificate
+from interfere import Graph, catalog, certificate
+from oracles import brute_catalogs, brute_certificate
 
-ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 class TestCounts:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_all_graphs_count(self, n):
         assert len(itf.all_graphs(n)) == ALL_COUNTS[n]
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_connected_count(self, n):
         assert len(itf.connected_graphs(n)) == CONNECTED_COUNTS[n]
 
@@ -27,7 +28,14 @@ class TestCounts:
             CONNECTED_COUNTS[k] for k in range(1, 6)
         )
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_unpruned_brute_catalog(self):
+        # every augmentation, certified by the brute oracle: the orbit
+        # pruning and the row-by-row search switched off
+        reference = brute_catalogs(7)
+        for n in range(1, 8):
+            assert [G.edges for G in itf.all_graphs(n)] == reference[n]
+
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_networkx_atlas(self, n):
         atlas = [H for H in nx.graph_atlas_g() if H.number_of_nodes() == n]
         ours = {certificate(G) for G in itf.all_graphs(n)}
@@ -43,7 +51,52 @@ class TestCounts:
             itf.all_graphs(9)
 
 
+def relabeled(G, perm):
+    return Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+
+
+def symmetric_graphs():
+    """Twin-heavy and vertex-transitive graphs up to order 8, by name."""
+    ring = [(i, (i + 1) % 8) for i in range(8)]
+    out = {f"K{n}": itf.complete(n) for n in range(1, 9)}
+    out.update({f"E{n}": Graph(n) for n in range(2, 9)})
+    out.update({f"K{a},{b}": itf.complete_bipartite(a, b)
+                for a in range(1, 5) for b in range(a, 9 - a)})
+    out["K2,2,2"] = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                              if u // 2 != v // 2])
+    out.update({f"C{n}": itf.cycle(n) for n in range(3, 9)})
+    out["Q3"] = Graph(8, [(u, u | 1 << k) for u in range(8) for k in range(3)
+                          if not u >> k & 1])
+    out["C8+diameters"] = Graph(8, ring + [(i, i + 4) for i in range(4)])
+    out["C8+2-chords"] = Graph(8, ring + [(i, (i + 2) % 8) for i in range(8)])
+    return out
+
+
+SYMMETRIC = symmetric_graphs()
+
+
 class TestCertificate:
+    def test_matches_brute_force_under_relabeling(self):
+        rng = random.Random(7)
+        for n in range(1, 8):
+            for G in itf.all_graphs(n):
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    H = relabeled(G, perm)
+                    assert certificate(H) == brute_certificate(H), H.edges
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_matches_brute_force_on_symmetric_graphs(self, name):
+        G = SYMMETRIC[name]
+        want = brute_certificate(G)
+        rng = random.Random(G.m)
+        for _ in range(3):
+            perm = list(range(G.n))
+            rng.shuffle(perm)
+            assert certificate(relabeled(G, perm)) == want
+        assert certificate(G) == want
+
     def test_invariant_under_relabeling(self):
         rng = random.Random(11)
         for G in itf.all_graphs(6)[::7]:
@@ -53,6 +106,33 @@ class TestCertificate:
                 rng.shuffle(perm)
                 H = Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges])
                 assert certificate(H) == want
+
+    def test_orbit_starts_come_from_automorphisms(self):
+        # the maps the search reports are automorphisms, and the masks kept
+        # for augmentation are the orbit minima under them
+        for n in range(1, 8):
+            for G in [*itf.all_graphs(n), *(H for H in SYMMETRIC.values() if H.n == n)]:
+                autos = []
+                catalog._search(G, autos)
+                for p in autos:
+                    assert sorted(p) == list(range(n))
+                    assert sorted(tuple(sorted((p[u], p[v]))) for u, v in G.edges) == list(G.edges)
+                seen, want = set(), []
+                for mask in range(1 << n):
+                    S = frozenset(v for v in range(n) if mask >> v & 1)
+                    if S in seen:
+                        continue
+                    want.append(mask)
+                    frontier = [S]
+                    seen.add(S)
+                    while frontier:
+                        T = frontier.pop()
+                        for p in autos:
+                            U = frozenset(p[v] for v in T)
+                            if U not in seen:
+                                seen.add(U)
+                                frontier.append(U)
+                assert catalog._orbit_starts(n, autos) == want
 
     def test_separates_same_degree_sequence(self):
         # C6 and two triangles share the degree sequence but not the certificate

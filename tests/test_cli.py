@@ -400,13 +400,23 @@ class TestSweep:
         )
         assert code == OK and obj["graph_count"] == 2 and obj["ok"] is True
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--samples", "-3", "--samples must be >= 0, got -3"),
-        ("--max-n", "0", "--max-n must be >= 1, got 0"),
-        ("--max-n", "-1", "--max-n must be >= 1, got -1"),
+    # below its smallest order a suite would check nothing; nbd-oracle starts
+    # at order 1, lg-injectivity and index-kn at order 2 (ids name the suite
+    # unless it is nbd-oracle)
+    @pytest.mark.parametrize("suite, flag, value, message", [
+        pytest.param(*case, id="-".join(case[1:] if case[0] == "nbd-oracle" else case))
+        for case in [
+            ("nbd-oracle", "--samples", "-3", "--samples must be >= 0, got -3"),
+            ("nbd-oracle", "--max-n", "0", "--max-n must be >= 1, got 0"),
+            ("nbd-oracle", "--max-n", "-1", "--max-n must be >= 1, got -1"),
+            ("lg-injectivity", "--max-n", "1", "--max-n must be >= 2, got 1"),
+            ("lg-injectivity", "--max-n", "0", "--max-n must be >= 2, got 0"),
+            ("index-kn", "--max-n", "1", "--max-n must be >= 2, got 1"),
+            ("index-kn", "--max-n", "-1", "--max-n must be >= 2, got -1"),
+        ]
     ])
-    def test_vacuous_sweep_is_a_usage_error(self, flag, value, message):
-        code, obj = run_cli_json(["sweep", "--suite", "nbd-oracle", flag, value])
+    def test_vacuous_sweep_is_a_usage_error(self, suite, flag, value, message):
+        code, obj = run_cli_json(["sweep", "--suite", suite, flag, value])
         assert code == USAGE
         assert obj["error"] == {"kind": "usage", "message": message}
 
