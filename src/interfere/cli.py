@@ -184,23 +184,28 @@ def resolve_pattern(name: str, G: Graph) -> Pattern:
     if name.startswith("explicit:"):
         data = _load_json(name[len("explicit:"):])
         if not isinstance(data, list) or not all(
-            isinstance(row, list) and all(type(v) is int for v in row) for row in data
+            isinstance(row, list) and all(type(v) is int and v >= 0 for v in row) for row in data
         ):
-            raise GraphFormatError("explicit pattern file must hold an array of vertex arrays")
+            raise GraphFormatError(
+                "explicit pattern file must hold an array of arrays of vertices >= 0"
+            )
         return Pattern.explicit([mask_of(row) for row in data])
     raise ValueError(f"unknown pattern {name!r}")
 
 
 def resolve_budget(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("INTERFERE_BUDGET")
-    if env:
+    budget = flag_value
+    if budget is None:
+        env = os.environ.get("INTERFERE_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ValueError(f"INTERFERE_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
+    if budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
+    return budget
 
 
 def _load_labeling(spec: str, G: Graph) -> SetLabeling:

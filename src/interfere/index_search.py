@@ -25,8 +25,9 @@ set) and prunes with:
   Lee, CP 2004), so no orbit loses its solutions.
 
 symmetry=False turns off both symmetry rules; the propagation rules always
-run.  Every assignment, over all phases of one call, counts against one node
-budget; exceeding it raises SearchBudgetExceeded rather than returning a verdict.
+run.  Every assignment counts against the node budget; exceeding it raises
+SearchBudgetExceeded rather than returning a verdict.  interference_index runs
+at most one search, since the doubling construction answers the upper bound.
 """
 from __future__ import annotations
 
@@ -34,7 +35,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .bitset import iter_bits
-from .core import Pattern, SetLabeling, expand_pattern, is_pattern_interference
+from .core import (
+    Pattern, SetLabeling, build_complete_interference, expand_pattern, is_pattern_interference
+)
 from .errors import CapExceededError, NoDominatingSetError, SearchBudgetExceeded
 from .graphs import Graph
 
@@ -138,14 +141,14 @@ def _twin_classes(n: int, constraints) -> List[int]:
 
 
 class _Kernel:
-    def __init__(self, G: Graph, constraints, m: int, budget: int, symmetry: bool, spent: int = 0):
+    def __init__(self, G: Graph, constraints, m: int, budget: int, symmetry: bool):
         self.n = G.n
         self.m = m
         K = (1 << m) - 1  # codes run 1..K
         self.all_codes = ((1 << (K + 1)) - 1) & ~1
         self.budget = budget
         self.symmetry = symmetry
-        self.nodes = spent  # earlier phases of the same call share the budget
+        self.nodes = 0
         # subsets[x] = mask of codes that are subsets of element-mask x (incl. 0)
         subsets = [1] * (K + 1)
         for x in range(1, K + 1):
@@ -279,20 +282,17 @@ class _Kernel:
         return codes
 
 
-def _phase(G: Graph, constraints, m: int, budget: int, symmetry: bool, spent: int = 0):
+def _phase(G: Graph, constraints, m: int, budget: int, symmetry: bool):
     """One fixed-m existence decision; returns (witness or None, nodes used).
-
-    constraints is None when some target set fails to dominate.  The budget
-    bounds spent (the nodes of earlier phases) plus this phase's nodes.
-    """
+    constraints is None when some target set fails to dominate."""
     if m < 1:
         raise ValueError("ground set size must be >= 1")
     if m > _MAX_GROUND:
         raise CapExceededError(f"search capped at m <= {_MAX_GROUND}")
     if constraints is None or G.n > (1 << m) - 1:
         return None, 0  # a set fails to dominate, or too few distinct nonempty labels
-    kern = _Kernel(G, constraints, m, budget, symmetry, spent)
-    return kern.search(), kern.nodes - spent
+    kern = _Kernel(G, constraints, m, budget, symmetry)
+    return kern.search(), kern.nodes
 
 
 def _checked(G: Graph, family, witness: Optional[SetLabeling]) -> Optional[SetLabeling]:
@@ -329,11 +329,11 @@ def interference_index(
 ) -> IndexResult:
     """Smallest ground-set size admitting a P-interference, with phase trace.
 
-    Scans m upward from the injectivity lower bound; the universal upper
-    bound guarantees termination once every member of P dominates.  A member
-    that fails to dominate makes the index undefined (no labeling can serve
-    a vertex with no neighbor inside the set), reported as
-    NoDominatingSetError.
+    The bounds L = ceil(log2(n+1)) and U = ceil(log2 2n) differ by at most
+    one, and the doubling construction interferes on U elements for every
+    dominating family: one search decides m = L when L < U, and otherwise the
+    construction witnesses U in a 0-node phase.  A member that fails to
+    dominate makes the index undefined (NoDominatingSetError).
     """
     family = expand_pattern(G, P)
     constraints = _constraints_for(G, family)
@@ -341,16 +341,16 @@ def interference_index(
     upper = universal_upper_bound(G.n)
     hi = upper if max_m is None else max_m
     trace: List[PhaseOutcome] = []
-    total = 0
-    for m in range(lower, hi + 1):
-        witness, nodes = _phase(G, constraints, m, budget, symmetry=True, spent=total)
-        total += nodes
-        trace.append(PhaseOutcome(m, witness is not None, nodes))
-        if witness is not None:
-            return IndexResult(m, _checked(G, family, witness), lower, total, tuple(trace))
-    if hi < upper:
-        raise CapExceededError(f"no interference found up to max_m={hi}")
-    raise RuntimeError("exhausted the certified upper bound without a witness (bug)")
+    witness, nodes = None, 0
+    if lower < upper and lower <= hi:
+        witness, nodes = _phase(G, constraints, lower, budget, symmetry=True)
+        trace.append(PhaseOutcome(lower, witness is not None, nodes))
+    if witness is None:
+        if hi < upper:
+            raise CapExceededError(f"no interference found up to max_m={hi}")
+        witness = build_complete_interference(G.n)
+        trace.append(PhaseOutcome(upper, True, 0))
+    return IndexResult(trace[-1].m, _checked(G, family, witness), lower, nodes, tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -469,4 +469,4 @@ def bipartite_side_index(r: int, s: int) -> int:
     """
     if r < 1 or s < 1:
         raise ValueError("need r, s >= 1")
-    return ceil_log2(r + s + 1)
+    return index_lower_bound(r + s)

@@ -6,12 +6,21 @@ is meaningful.  These oracles are deliberately slow and simple.
 reference_propagate is the one exception: it runs the index kernel's
 propagation rules on the kernel's bitmask domains, walking every code.
 brute_certificate walks every vertex ordering its refinement allows, which
-the package's certificate search reaches row by row.
+the package's certificate search reaches row by row.  scan_index asks the
+package's exists_interference at every m between the index bounds, where
+interference_index trusts the doubling construction at the upper one.
 """
 
 import itertools
 
-from interfere import Graph, SetLabeling, bit_list
+from interfere import (
+    Graph,
+    SetLabeling,
+    bit_list,
+    exists_interference,
+    index_lower_bound,
+    universal_upper_bound,
+)
 
 
 def neighbor_sets(G: Graph):
@@ -141,6 +150,15 @@ def brute_exists_interference(I: Graph, D_families, m: int) -> bool:
         if all(brute_is_interference(I, D, lab) for D in D_families):
             return True
     return False
+
+
+def scan_index(G: Graph, P):
+    """The least m in L..U with a P-interference, searched upward one m at a
+    time; None when no m up to U has one (the index is undefined)."""
+    for m in range(index_lower_bound(G.n), universal_upper_bound(G.n) + 1):
+        if exists_interference(G, P, m) is not None:
+            return m
+    return None
 
 
 def brute_max_cross_intersecting(r: int, m: int) -> int:

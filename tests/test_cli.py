@@ -125,9 +125,10 @@ class TestCheck:
         assert code == FORMAT
         assert json.loads(out)["error"]["kind"] == "format"
 
-    def test_boolean_pattern_vertex_is_format_error(self, tmp_path):
+    @pytest.mark.parametrize("text", ["[[true]]", "[[-1]]"])
+    def test_boolean_pattern_vertex_is_format_error(self, tmp_path, text):
         sets = tmp_path / "sets.json"
-        sets.write_text("[[true]]")
+        sets.write_text(text)
         code, out = run_cli(
             ["check", "--graph", "complete:3", "--labeling", "complete",
              "--pattern", f"explicit:{sets}"]
@@ -190,10 +191,21 @@ class TestIndex:
         assert json.loads(out)["error"]["kind"] == "budget"
 
     def test_budget_message_names_the_given_budget(self):
-        # 9 nodes refute m=3, so the budget runs out 4 nodes into m=4
-        code, obj = run_cli_json(["index", "--graph", "complete:5", "--budget", "12"])
+        # refuting m=3 takes 9 nodes; m=4 is the construction's and takes none
+        code, obj = run_cli_json(["index", "--graph", "complete:5", "--budget", "5"])
         assert code == BUDGET
-        assert obj["error"]["message"] == "node budget 12 exhausted at m=4"
+        assert obj["error"]["message"] == "node budget 5 exhausted at m=3"
+
+    def test_negative_budget_is_usage(self, monkeypatch):
+        # complete:4 needs no search, so no budget can run out there
+        argv = ["index", "--graph", "complete:4"]
+        code, obj = run_cli_json(argv + ["--budget", "-5"])
+        assert code == USAGE and obj["error"]["kind"] == "usage"
+        monkeypatch.setenv("INTERFERE_BUDGET", "-5")
+        code, obj = run_cli_json(argv)
+        assert code == USAGE and obj["error"]["kind"] == "usage"
+        code, obj = run_cli_json(argv + ["--budget", "0"])
+        assert code == OK and obj["index"] == 3 and obj["nodes_explored"] == 0
 
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self, tmp_path):
         # One search level per vertex: star:1000 ran out of frames under the

@@ -21,6 +21,7 @@ from interfere import (
     universal_upper_bound,
 )
 
+from interfere.cli import bipartition
 from interfere.index_search import _constraints_for, _Kernel
 
 from oracles import (
@@ -28,6 +29,7 @@ from oracles import (
     brute_is_interference,
     brute_max_cross_intersecting,
     reference_propagate,
+    scan_index,
 )
 
 # values confirmed by brute_max_cross_intersecting, which enumerates the
@@ -150,6 +152,30 @@ class TestSymmetryRules:
         assert twins(0b0101, 0b0110, 0b1001, 0b1010) == {0: -1, 1: 0, 2: -1, 3: 2}
 
 
+class TestIndexAgainstScan:
+    """One search at L plus the construction at U gives the upward scan's index."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_connected_graph(self, n):
+        for G in itf.connected_graphs(n):
+            patterns = list(PATTERNS)
+            try:
+                patterns.append(Pattern.cross_pairs(*bipartition(G)))
+            except ValueError:
+                pass  # an odd cycle, or the empty second side of K1
+            for P in patterns:
+                want = scan_index(G, P)
+                try:
+                    res = interference_index(G, P)
+                except NoDominatingSetError:
+                    assert want is None, (itf.to_graph6(G), P.kind)
+                    continue
+                assert res.index == want, (itf.to_graph6(G), P.kind)
+                assert res.lower_bound_used == index_lower_bound(G.n)
+                # the search confirms what the construction claims at U
+                assert exists_interference(G, P, universal_upper_bound(G.n)) is not None
+
+
 class TestPropagation:
     def test_matches_reference_fixpoint(self):
         rng = random.Random(7)
@@ -247,6 +273,29 @@ class TestIndexMachinery:
         res = interference_index(complete(5), Pattern.all_dominating())
         assert len(res.trace) == 2 and len(calls) == 1
 
+    def test_at_most_one_search(self, monkeypatch):
+        calls = []
+        search = _Kernel.search
+        monkeypatch.setattr(_Kernel, "search", lambda self: calls.append(self.m) or search(self))
+        interference_index(complete(5), Pattern.all_dominating())
+        assert calls == [3]
+        # a cap below L refuses without a search, a cap below U after one
+        for max_m, searched in ((2, []), (3, [3])):
+            calls.clear()
+            with pytest.raises(CapExceededError):
+                interference_index(complete(5), Pattern.all_dominating(), max_m=max_m)
+            assert calls == searched
+        # L = U: the construction answers without a search
+        for G, P, m in (
+            (complete(4), Pattern.all_dominating(), 3),
+            (complete(16), Pattern.all_dominating(), 5),
+            (complete_bipartite(8, 8), Pattern.all_minimal_dominating(), 5),
+        ):
+            calls.clear()
+            res = interference_index(G, P)
+            assert calls == [] and res.index == m and res.nodes_explored == 0
+            assert [(p.m, p.found, p.nodes) for p in res.trace] == [(m, True, 0)]
+
     def test_max_m_cap(self):
         with pytest.raises(CapExceededError):
             interference_index(complete(6), Pattern.singletons(), max_m=3)
@@ -269,6 +318,11 @@ class TestIndexMachinery:
             interference_index(complete(3), Pattern.singletons())
         with pytest.raises(RuntimeError, match="bug"):
             exists_interference(complete(3), Pattern.singletons(), 2)
+        # the construction passes the same guard: here vertex 1 misses {0}
+        bad = SetLabeling(3, (0b001, 0b010, 0b100, 0b011))
+        monkeypatch.setattr(itf.index_search, "build_complete_interference", lambda n: bad)
+        with pytest.raises(RuntimeError, match="bug"):
+            interference_index(complete(4), Pattern.singletons())
 
     def test_result_serialization(self):
         res = interference_index(complete(4), Pattern.singletons())
