@@ -12,6 +12,11 @@ set) and prunes with:
   code mask per ground element, and refreshed when its domain shrinks;
 * a dual rule: when only one candidate vertex can still support u, that
   vertex keeps only codes meeting u's remaining elements;
+* implied constraints are not propagated: (u, Vs) is dropped when u has a
+  constraint on a strict subset of Vs, whose fixpoint already meets both
+  rules of (u, Vs), so the monotone rules reach the same fixpoint and the
+  search tree is unchanged (the order and the twin classes still read
+  every constraint);
 * all-different unit propagation plus a union cardinality check (labels must
   be pairwise distinct);
 * first-occurrence symmetry breaking: along the fixed assignment order,
@@ -32,6 +37,8 @@ at most one search, since the doubling construction answers the upper bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from .bitset import iter_bits
@@ -140,6 +147,25 @@ def _twin_classes(n: int, constraints) -> List[int]:
     return cls
 
 
+def _minimal_constraints(constraints) -> List[Tuple[int, int]]:
+    """The pairs (u, C) of a sorted constraint list with no pair (u, C')
+    for a strict subset C' of C: at any fixpoint of (u, C') the rules of
+    (u, C) narrow nothing.
+
+    Sorting puts each vertex's pairs together, and a strict subset is a
+    smaller integer, so it comes first.  Testing against the kept pairs
+    alone suffices: a dropped subset has a kept subset of its own.
+    """
+    kept: List[Tuple[int, int]] = []
+    for u, group in groupby(constraints, key=itemgetter(0)):
+        mins: List[int] = []
+        for _, cands in group:
+            if all(c & cands != c for c in mins):
+                mins.append(cands)
+        kept.extend((u, c) for c in mins)
+    return kept
+
+
 class _Kernel:
     def __init__(self, G: Graph, constraints, m: int, budget: int, symmetry: bool):
         self.n = G.n
@@ -158,11 +184,14 @@ class _Kernel:
         self.sup = [self.all_codes & ~subsets[K ^ e] for e in range(K + 1)]
         # (element bit, codes holding that element), to read a domain's element union
         self.elem_codes = [(1 << e, self.sup[1 << e]) for e in range(m)]
-        self.constraints = [(u, tuple(iter_bits(cands))) for u, cands in constraints]
+        self.constraints = [
+            (u, tuple(iter_bits(cands))) for u, cands in _minimal_constraints(constraints)
+        ]
+        # the order and the twin classes read every pair, implied ones too
         weight = [0] * self.n
-        for u, vs in self.constraints:
+        for u, cands in constraints:
             weight[u] += 1
-            for v in vs:
+            for v in iter_bits(cands):
                 weight[v] += 1
         self.order = sorted(range(self.n), key=lambda v: (-weight[v], v))
         # twin[pos] = the latest twin of order[pos] earlier in the order, or -1

@@ -161,6 +161,24 @@ def scan_index(G: Graph, P):
     return None
 
 
+def brute_minimal_constraints(G: Graph, family):
+    """(kept, dropped) index-kernel constraints of a target-set family, as
+    (u, frozenset C) pairs with C = N(u) & D for each D and u outside D.
+
+    A pair is kept when no pair of the same vertex has a strict subset of
+    its C, and dropped otherwise.  Assumes every member dominates.
+    """
+    nbrs = neighbor_sets(G)
+    pairs = {
+        (u, nbrs[u] & frozenset(D))
+        for D in map(bit_list, family)
+        for u in range(G.n)
+        if u not in D
+    }
+    kept = {(u, C) for u, C in pairs if not any(w == u and B < C for w, B in pairs)}
+    return kept, pairs - kept
+
+
 def brute_max_cross_intersecting(r: int, m: int) -> int:
     """Largest s admitting r+s distinct subsets of an m-set where each of the
     first r meets each of the last s.  Literal enumeration of the first block

@@ -22,12 +22,14 @@ from interfere import (
 )
 
 from interfere.cli import bipartition
+from interfere.core import expand_pattern
 from interfere.index_search import _constraints_for, _Kernel
 
 from oracles import (
     brute_exists_interference,
     brute_is_interference,
     brute_max_cross_intersecting,
+    brute_minimal_constraints,
     reference_propagate,
     scan_index,
 )
@@ -110,6 +112,14 @@ PATTERNS = (
 )
 
 
+def patterns_of(G):
+    """PATTERNS, plus cross-pairs when G has a bipartition with two sides."""
+    try:
+        return PATTERNS + (Pattern.cross_pairs(*bipartition(G)),)
+    except ValueError:
+        return PATTERNS  # an odd cycle, or the empty second side of K1
+
+
 class TestSymmetryRules:
     """Twin ordering and the fresh-block rule never change a verdict."""
 
@@ -158,12 +168,7 @@ class TestIndexAgainstScan:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_connected_graph(self, n):
         for G in itf.connected_graphs(n):
-            patterns = list(PATTERNS)
-            try:
-                patterns.append(Pattern.cross_pairs(*bipartition(G)))
-            except ValueError:
-                pass  # an odd cycle, or the empty second side of K1
-            for P in patterns:
+            for P in patterns_of(G):
                 want = scan_index(G, P)
                 try:
                     res = interference_index(G, P)
@@ -176,7 +181,98 @@ class TestIndexAgainstScan:
                 assert exists_interference(G, P, universal_upper_bound(G.n)) is not None
 
 
+def gnp(n, p, seed):
+    """G(n,p)#seed: random.Random(seed) keeps each pair u < v, in
+    lexicographic order, with probability p."""
+    rng = random.Random(seed)
+    return itf.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+class TestImpliedConstraints:
+    """The kernel propagates each vertex's subset-minimal pairs only."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_connected_graph(self, n):
+        for G in itf.connected_graphs(n):
+            for P in patterns_of(G):
+                family = expand_pattern(G, P)
+                try:
+                    constraints = _constraints_for(G, family)
+                except NoDominatingSetError:
+                    continue
+                kern = _Kernel(G, constraints, index_lower_bound(n), 10**6, True)
+                got = {(u, frozenset(vs)) for u, vs in kern.constraints}
+                kept, dropped = brute_minimal_constraints(G, family)
+                assert len(got) == len(kern.constraints), (itf.to_graph6(G), P.kind)
+                assert got == kept, (itf.to_graph6(G), P.kind)
+                assert len(constraints) == len(kept) + len(dropped)
+                for u, C in dropped:
+                    assert any(w == u and K < C for w, K in kept), (itf.to_graph6(G), u, C)
+
+
+class TestPinnedSearch:
+    """Dropping implied pairs leaves the search tree as it was: node counts,
+    phases and witnesses as the kernel gives them on the full pair list."""
+
+    @pytest.mark.parametrize("G,P,trace,witness", [
+        pytest.param(
+            complete_bipartite(6, 6), Pattern.all_dominating(),
+            [(4, False, 3408), (5, True, 0)],
+            (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23),
+            id="K6,6",
+        ),
+        pytest.param(
+            gnp(10, 0.8, 5), Pattern.all_minimal_dominating(),
+            [(4, True, 2098)], (10, 3, 6, 7, 14, 9, 15, 11, 13, 5),
+            id="G(10,0.8)#5",
+        ),
+        pytest.param(
+            gnp(10, 0.8, 35), Pattern.all_minimal_dominating(),
+            [(4, True, 4022)], (11, 12, 3, 5, 13, 6, 9, 7, 10, 14),
+            id="G(10,0.8)#35",
+        ),
+        pytest.param(
+            gnp(15, 0.8, 1), Pattern.all_minimal_dominating(),
+            [(4, False, 2379), (5, True, 0)],
+            (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29),
+            id="G(15,0.8)#1",
+        ),
+    ])
+    def test_nodes_trace_and_witness(self, G, P, trace, witness):
+        res = interference_index(G, P)
+        assert [(p.m, p.found, p.nodes) for p in res.trace] == trace
+        assert res.nodes_explored == sum(nodes for _, _, nodes in trace)
+        assert res.witness.labels == witness
+
+
 class TestPropagation:
+    """The reference runs the rules on every pair the family gives, the
+    kernel on the subset-minimal ones only; both reach one fixpoint."""
+
+    @staticmethod
+    def _agrees(rng, G, D_masks):
+        """Propagate from random commitments both ways and compare.  Returns
+        (pairs, pairs propagated), or None when a member fails to dominate."""
+        try:
+            constraints = _constraints_for(G, D_masks)
+        except NoDominatingSetError:
+            return None
+        n = G.n
+        m = index_lower_bound(n) + rng.randint(0, 1)
+        kern = _Kernel(G, constraints, m, 10**6, True)
+        dom = [kern.all_codes] * n
+        for v, code in zip(
+            rng.sample(range(n), rng.randint(0, n)),
+            rng.sample(range(1, 1 << m), n),
+        ):
+            dom[v] = 1 << code
+        got, want = list(dom), list(dom)
+        ok = kern._propagate(got)
+        assert ok == reference_propagate(n, constraints, m, want)
+        if ok:
+            assert got == want
+        return len(constraints), len(kern.constraints)
+
     def test_matches_reference_fixpoint(self):
         rng = random.Random(7)
         checked = 0
@@ -189,24 +285,44 @@ class TestPropagation:
                 D_masks = itf.minimal_dominating_sets(G)
             else:
                 D_masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))]
-            try:
-                constraints = _constraints_for(G, D_masks)
-            except NoDominatingSetError:
-                continue
-            m = index_lower_bound(n) + rng.randint(0, 1)
-            kern = _Kernel(G, constraints, m, 10**6, True)
-            dom = [kern.all_codes] * n
-            for v, code in zip(
-                rng.sample(range(n), rng.randint(0, n)),
-                rng.sample(range(1, 1 << m), n),
-            ):
-                dom[v] = 1 << code
-            got, want = list(dom), list(dom)
-            ok = kern._propagate(got)
-            assert ok == reference_propagate(n, constraints, m, want)
-            if ok:
-                assert got == want
-            checked += 1
+            if self._agrees(rng, G, D_masks) is not None:
+                checked += 1
+
+    def test_orders_9_and_10_minimal_dominating(self):
+        rng = random.Random(9)
+        pairs = propagated = 0
+        for _ in range(40):
+            n = rng.randint(9, 10)
+            p = rng.choice((0.5, 0.8))
+            G = itf.Graph(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ])
+            counts = self._agrees(rng, G, itf.minimal_dominating_sets(G))
+            pairs += counts[0]
+            propagated += counts[1]
+        assert 2 * propagated < pairs  # most pairs are implied here
+
+    def test_nested_explicit_members(self):
+        rng = random.Random(11)
+        checked = dropped = 0
+        while checked < 200:
+            n = rng.randint(2, 8)
+            G = itf.Graph(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
+            ])
+            D = rng.choice(itf.minimal_dominating_sets(G))
+            D_masks = [D]
+            for _ in range(rng.randint(1, 3)):
+                D |= rng.randrange(1 << n)  # D only grows: D_masks is a chain
+                D_masks.append(D)
+            if rng.random() < 0.5:
+                D_masks.append(rng.randrange(1, 1 << n))
+            rng.shuffle(D_masks)
+            counts = self._agrees(rng, G, D_masks)
+            if counts is not None:
+                checked += 1
+                dropped += counts[0] > counts[1]
+        assert dropped > checked // 4
 
 
 class TestIndexOnCompleteGraphs:
