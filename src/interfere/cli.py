@@ -31,7 +31,6 @@ from .core import (
     build_complete_interference,
     expand_pattern,
     is_complete_interference,
-    is_interference,
     is_valid_labeling,
     overlap_graph,
     overlap_violation,
@@ -363,8 +362,8 @@ def cmd_nbd(args) -> dict:
         verdict = rep.valid
         trace["reason"] = None if rep.valid else "NOT_INJECTIVE"
         rule = "closed_universal_selfcheck"
-    else:
-        verdict = rep.valid and is_interference(G, target, rep.labeling)
+    else:  # closed: valid and D dominates G, see closed_labeling
+        verdict = rep.valid and is_dominating(G, target)
         rule = "closed_set"
     report.update({"verdict": verdict, "rule": rule, "trace": trace})
     return report
@@ -495,7 +494,7 @@ def _sweep_lg(args) -> Tuple[int, int, List[dict]]:
     checks = 0
     mismatches = []
     for G in graphs:
-        L, _ = line_graph(G)
+        L = line_graph(G)
         thm = line_injectivity_report(G).injective
         orc = neighborhood_labeling(L).injective
         checks += 1

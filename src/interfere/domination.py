@@ -7,6 +7,8 @@ from .bitset import bit_list, iter_bits
 from .errors import CapExceededError
 from .graphs import Graph, closed_neighborhood
 
+_CAP = 16  # the enumerations refuse graphs of larger order
+
 
 def is_dominating(G: Graph, D: int) -> bool:
     """True when every vertex is in D or adjacent to it; empty D never dominates."""
@@ -29,15 +31,15 @@ def _canonical_order(sets) -> Tuple[int, ...]:
     return tuple(sorted(sets, key=lambda D: (D.bit_count(), bit_list(D))))
 
 
-def minimal_dominating_sets(G: Graph, cap: int = 16) -> Tuple[int, ...]:
+def minimal_dominating_sets(G: Graph) -> Tuple[int, ...]:
     """Every minimal dominating set, ordered by size then lexicographically.
 
     Branches on an uncovered vertex with the fewest remaining candidate
     dominators; sibling branches exclude earlier candidates so no chosen set
     is revisited.  Non-minimal leaves are filtered by the direct definition.
     """
-    if G.n > cap:
-        raise CapExceededError(f"minimal_dominating_sets: n={G.n} exceeds cap {cap}")
+    if G.n > _CAP:
+        raise CapExceededError(f"minimal_dominating_sets: n={G.n} exceeds cap {_CAP}")
     closed = [closed_neighborhood(G, v) for v in G.vertices()]
     found = set()
 
@@ -63,8 +65,8 @@ def minimal_dominating_sets(G: Graph, cap: int = 16) -> Tuple[int, ...]:
     return _canonical_order(found)
 
 
-def all_dominating_sets(G: Graph, cap: int = 16) -> Tuple[int, ...]:
+def all_dominating_sets(G: Graph) -> Tuple[int, ...]:
     """Every dominating set, by direct filter of all nonempty subsets."""
-    if G.n > cap:
-        raise CapExceededError(f"all_dominating_sets: n={G.n} exceeds cap {cap}")
+    if G.n > _CAP:
+        raise CapExceededError(f"all_dominating_sets: n={G.n} exceeds cap {_CAP}")
     return _canonical_order(D for D in range(1, 1 << G.n) if is_dominating(G, D))

@@ -17,6 +17,7 @@ from .errors import CapExceededError, GraphFormatError
 
 # Distance to an unreachable vertex; orders above every int and never overflows.
 INFINITY = math.inf
+_INDEPENDENCE_CAP = 16  # independence_number refuses graphs of larger order
 
 Distance = Union[int, float]
 
@@ -203,10 +204,10 @@ def is_regular(G: Graph) -> Optional[int]:
     return degs.pop() if len(degs) == 1 else None
 
 
-def independence_number(G: Graph, cap: int = 16) -> int:
-    """Exact maximum independent set size by branch and bound; refuses n > cap."""
-    if G.n > cap:
-        raise CapExceededError(f"independence_number: n={G.n} exceeds cap {cap}")
+def independence_number(G: Graph) -> int:
+    """Exact maximum independent set size by branch and bound; refuses n > 16."""
+    if G.n > _INDEPENDENCE_CAP:
+        raise CapExceededError(f"independence_number: n={G.n} exceeds cap {_INDEPENDENCE_CAP}")
     closed = [G.adj[v] | (1 << v) for v in G.vertices()]
     best = 0
 
@@ -239,13 +240,13 @@ def edge_adjacency_masks(G: Graph) -> List[int]:
     return [(at_vertex[u] | at_vertex[v]) & ~(1 << i) for i, (u, v) in enumerate(G.edges)]
 
 
-def line_graph(G: Graph) -> Tuple[Graph, Tuple[Tuple[int, int], ...]]:
-    """Line graph whose vertex i is G.edges[i], plus that correspondence."""
+def line_graph(G: Graph) -> Graph:
+    """Line graph whose vertex i is the edge G.edges[i]."""
     if not G.edges:
         raise ValueError("line graph of an edgeless graph is undefined")
     masks = edge_adjacency_masks(G)
     edges = [(i, j) for i in range(len(masks)) for j in iter_bits(masks[i]) if i < j]
-    return Graph(len(G.edges), edges), G.edges
+    return Graph(len(G.edges), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,9 @@ def interference_index(
 # ---------------------------------------------------------------------------
 # cross-intersecting families and complete-bipartite indices
 
+_R_CAP = 4  # max_cross_intersecting refuses larger families
+
+
 @dataclass(frozen=True)
 class CrossIntersectingResult:
     """Largest s admitting r+s distinct subsets with all r-to-s pairs meeting."""
@@ -407,9 +410,7 @@ class CrossIntersectingResult:
         }
 
 
-def max_cross_intersecting(
-    r: int, m: int, r_cap: int = 4, m_cap: int = 6
-) -> CrossIntersectingResult:
+def max_cross_intersecting(r: int, m: int, m_cap: int = 6) -> CrossIntersectingResult:
     """Exhaustive computation of the extremal cross-intersecting size.
 
     Enumerates the r-subfamily up to ground-set permutation only (each next
@@ -419,8 +420,8 @@ def max_cross_intersecting(
     """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
-    if r > r_cap or m > m_cap:
-        raise CapExceededError(f"max_cross_intersecting capped at r <= {r_cap}, m <= {m_cap}")
+    if r > _R_CAP or m > m_cap:
+        raise CapExceededError(f"max_cross_intersecting capped at r <= {_R_CAP}, m <= {m_cap}")
     if (1 << m) < r:
         raise ValueError(f"cannot pick {r} distinct subsets of a {m}-set")
     total = 1 << m

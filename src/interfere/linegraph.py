@@ -1,12 +1,14 @@
 """Interference criteria for labelings of a graph's edges.
 
 Edges get labeled by their neighboring edges (or the complement thereof),
-i.e. the open/complemented neighborhoods taken in the line graph; the
-interference condition is with respect to the complete graph on the edge
-set.  All structural predicates below work on G directly through edge
-adjacency masks; materializing the line graph is reserved for the
-definitional oracle (line_graph + the neighborhood module), which is also
-what settles completeness.
+and the interference condition is with respect to the complete graph on the
+edge set.  That is the neighborhood question asked of the line graph: edge i
+is vertex i of L(G), and its label is N_{L(G)}(i) or its complement.  So
+every per-set and completeness verdict here is the matching neighborhood
+criterion evaluated on line_graph(G).  What this module adds are the
+statements about G itself: the K2/sandwich description of injectivity, the
+necessary completeness clauses, and the independence and regular rules for
+the complemented labeling.
 
 Edge sets are int bitmasks over canonical edge indices (Graph.edges order).
 """
@@ -16,18 +18,15 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, List, Tuple
 
-from .bitset import bit_list, iter_bits
-from .core import is_complete_interference
+from .bitset import bit_list
 from .errors import HypothesisViolation
-from .graphs import (
-    Graph,
-    components,
-    is_connected,
-    is_regular,
-    edge_adjacency_masks,
-    line_graph,
+from .graphs import Graph, components, is_connected, is_regular, line_graph
+from .neighborhood import (
+    complemented_interference_of,
+    neighborhood_complete,
+    neighborhood_interference_of,
+    neighborhood_singleton,
 )
-from .neighborhood import neighborhood_labeling
 
 
 def edge_mask(G: Graph, pairs: Iterable[Tuple[int, int]]) -> int:
@@ -46,7 +45,7 @@ def _has_spanning_path(G: Graph, verts: List[int]) -> bool:
 
 
 def _component_kinds(G: Graph) -> List[Tuple[str, List[int]]]:
-    """(kind, vertices) per component: 'edgeless', 'K2', 'sandwich' or 'other'.
+    """(kind, vertices) per component: 'K2', 'sandwich' or 'other'.
 
     A sandwich component has exactly four vertices carrying a spanning path;
     those are precisely the components squeezed between the 4-path and K4.
@@ -54,10 +53,7 @@ def _component_kinds(G: Graph) -> List[Tuple[str, List[int]]]:
     out = []
     for comp in components(G):
         verts = bit_list(comp)
-        medges = sum(1 for u, v in G.edges if comp >> u & 1)
-        if medges == 0:
-            kind = "edgeless"
-        elif len(verts) == 2:
+        if len(verts) == 2:
             kind = "K2"
         elif len(verts) == 4 and _has_spanning_path(G, verts):
             kind = "sandwich"
@@ -98,11 +94,11 @@ def line_injective(G: Graph) -> bool:
 
 
 def line_interference_of(G: Graph, D: int) -> bool:
-    """Structural test that the edge labeling interferes for the edge set D.
+    """Whether the edge labeling interferes for the edge set D: D dominates
+    T(L(G)), as neighborhood_interference_of decides on the line graph.
 
-    No component may be a single edge (empty label) or a sandwich
-    (injectivity), and every edge outside D needs a neighboring edge that
-    itself neighbors D.
+    The labeling is valid exactly when no component is a single edge (an
+    empty label) and line_injective(G) holds.
     """
     if not G.edges:
         raise ValueError("the edge labeling of an edgeless graph is undefined")
@@ -110,52 +106,27 @@ def line_interference_of(G: Graph, D: int) -> bool:
         raise ValueError("D must be nonempty")
     if D >> len(G.edges):
         raise ValueError("D has edge indices outside the graph")
-    kinds = _component_kinds(G)
-    if any(k in ("K2", "sandwich") for k, _ in kinds):
-        return False
-    ladj = edge_adjacency_masks(G)
-    for e in range(len(G.edges)):
-        if D >> e & 1:
-            continue
-        if not any(ladj[f] & D for f in iter_bits(ladj[e])):
-            return False
-    return True
+    return neighborhood_interference_of(line_graph(G), D)
 
 
 def line_singleton(G: Graph, edge: int) -> bool:
-    """Interference of the single edge {edge} (an edge index).
-
-    Demands a connected edge-bearing part with at least two edges, no
-    sandwich shape, and every edge within two steps of the chosen one.
-    Isolated vertices carry no edges and are ignored.
-    """
+    """Interference of the single edge {edge} (an edge index), decided by
+    neighborhood_singleton on the line graph."""
     if not G.edges:
         raise ValueError("the edge labeling of an edgeless graph is undefined")
     if not 0 <= edge < len(G.edges):
         raise ValueError(f"edge index {edge} out of range")
-    kinds = _component_kinds(G)
-    carrying = [(k, v) for k, v in kinds if k != "edgeless"]
-    if len(carrying) != 1:
-        return False
-    if len(G.edges) < 2:
-        return False
-    if carrying[0][0] in ("K2", "sandwich"):
-        return False
-    # every edge must be a neighbor of a neighbor of the chosen edge
-    ladj = edge_adjacency_masks(G)
-    return all(
-        e == edge or (ladj[e] & ladj[edge]) for e in range(len(G.edges))
-    )
+    return neighborhood_singleton(line_graph(G), edge)
 
 
 @dataclass(frozen=True)
 class LineCompleteReport:
     """Clause-by-clause trace for edge-labeling completeness.
 
-    The recorded clauses are each necessary; they are not jointly sufficient
-    (one published clause of the criterion is garbled), so the verdict is
-    the definitional oracle's and `undetermined` flags graphs where all
-    clauses hold yet the oracle says no.
+    The verdict is neighborhood_complete on L(G).  The recorded clauses are
+    statements about G, each necessary but not jointly sufficient (one
+    published clause of the criterion is garbled), so `undetermined` flags
+    graphs where all clauses hold yet the verdict is no.
     """
 
     verdict: bool
@@ -168,12 +139,12 @@ def line_complete_report(G: Graph) -> LineCompleteReport:
         raise HypothesisViolation("edge-labeling completeness needs order >= 3")
     if not is_connected(G):
         raise HypothesisViolation("edge-labeling completeness needs a connected graph")
-    ladj = edge_adjacency_masks(G)
+    L = line_graph(G)
     not_sandwich = _component_kinds(G)[0][0] != "sandwich"
     diam_ok = all(
-        (ladj[i] >> j & 1) or (ladj[i] & ladj[j])
-        for i in range(len(G.edges))
-        for j in range(i + 1, len(G.edges))
+        (L.adj[i] >> j & 1) or (L.adj[i] & L.adj[j])
+        for i in range(L.n)
+        for j in range(i + 1, L.n)
     )
     pendant_ok = True
     for u, v in G.edges:
@@ -185,14 +156,12 @@ def line_complete_report(G: Graph) -> LineCompleteReport:
         "line_diameter_le_2": diam_ok,
         "pendant_edges_thick": pendant_ok,
     }
-    L, _ = line_graph(G)
-    rep = neighborhood_labeling(L)
-    oracle = rep.valid and is_complete_interference(rep.labeling)
-    return LineCompleteReport(oracle, clauses, all(clauses.values()) and not oracle)
+    verdict = neighborhood_complete(L)
+    return LineCompleteReport(verdict, clauses, all(clauses.values()) and not verdict)
 
 
 def line_complete(G: Graph) -> bool:
-    """Edge labeling pairwise-intersecting; settled by the oracle on L(G)."""
+    """Edge labeling valid and pairwise-intersecting: neighborhood_complete(L(G))."""
     return line_complete_report(G).verdict
 
 
@@ -207,31 +176,17 @@ def _require_cnbd_hypotheses(G: Graph) -> None:
 
 
 def line_complemented_interference_of(G: Graph, D: int) -> bool:
-    """Structural test that edge -> non-neighboring-edges interferes for D.
+    """Whether edge -> non-neighboring-edges interferes for D, decided by
+    complemented_interference_of on the line graph.
 
-    On a connected graph of order >= 5 the labeling is automatically valid;
-    only an edge adjacent to every member of D is at risk, and it is saved
-    by any non-neighboring edge that misses some member of D.
+    On a connected graph of order >= 5 the labeling is automatically valid.
     """
     _require_cnbd_hypotheses(G)
     if D == 0:
         raise ValueError("D must be nonempty")
     if D >> len(G.edges):
         raise ValueError("D has edge indices outside the graph")
-    ladj = edge_adjacency_masks(G)
-    nedges = len(G.edges)
-    for e in range(nedges):
-        if D >> e & 1:
-            continue
-        if ladj[e] & D != D:
-            continue  # some member of D already misses e
-        saved = any(
-            f != e and not (ladj[e] >> f & 1) and (ladj[f] & D) != D
-            for f in range(nedges)
-        )
-        if not saved:
-            return False
-    return True
+    return complemented_interference_of(line_graph(G), D)
 
 
 def line_complemented_size_rule(G: Graph, D: int) -> bool:
@@ -242,12 +197,9 @@ def line_complemented_size_rule(G: Graph, D: int) -> bool:
         raise HypothesisViolation("size rule needs |D| >= 5")
     if line_complemented_interference_of(G, D):
         return True
-    ladj = edge_adjacency_masks(G)
-    nedges = len(G.edges)
-    all_but_self = (1 << nedges) - 1
+    L = line_graph(G)
     return any(
-        not (D >> e & 1) and (ladj[e] | (1 << e)) == all_but_self
-        for e in range(nedges)
+        not (D >> e & 1) and (L.adj[e] | 1 << e) == L.full_mask for e in L.vertices()
     )
 
 

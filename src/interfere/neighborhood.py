@@ -32,7 +32,6 @@ from .graphs import (
     complemented_neighborhood,
     diameter,
     edge_in_triangle,
-    induced_subgraph,
     is_connected,
     is_point_determining,
     is_regular,
@@ -141,7 +140,8 @@ def neighborhood_complete(G: Graph) -> bool:
 
 def neighborhood_singleton(G: Graph, v: int) -> bool:
     """Interference of the single vertex {v}: everything within distance two
-    of v and no isolated vertex inside the induced neighborhood of v."""
+    of v and every edge at v on a triangle, i.e. no isolated vertex inside
+    the induced neighborhood of v."""
     if not 0 <= v < G.n:
         raise ValueError(f"vertex {v} out of range")
     if G.n < 2 or not is_point_determining(G):
@@ -150,8 +150,7 @@ def neighborhood_singleton(G: Graph, v: int) -> bool:
         return False
     if G.adj[v] == 0:
         return False
-    sub, _ = induced_subgraph(G, G.adj[v])
-    return all(mask != 0 for mask in sub.adj)
+    return all(G.adj[w] & G.adj[v] for w in iter_bits(G.adj[v]))
 
 
 def neighborhood_all_but_one(G: Graph, v: int) -> bool:

@@ -64,7 +64,7 @@ class TestInjectivity:
                 with pytest.raises(ValueError):
                     line_injective(G)
                 continue
-            L, _ = line_graph(G)
+            L = line_graph(G)
             dup = len({L.adj[e] for e in L.vertices()}) < L.n
             assert line_injective(G) == (not dup), itf.to_graph6(G)
 
@@ -78,14 +78,25 @@ class TestInjectivity:
 
 
 class TestInterferenceOf:
-    @pytest.mark.parametrize("n", range(3, 6))
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_exhaustive_small(self, n):
-        for G in itf.connected_graphs(n):
+        """Every edge set when m <= 10, a seeded sample of 100 otherwise.
+
+        Disconnected graphs are included: K2 components, isolated vertices
+        and sandwich components decide the validity of the labeling.
+        """
+        for G in itf.all_graphs(n):
             if G.m == 0:
                 continue
             L, rep = line_oracle_labeling(G)
-            for D in range(1, 1 << G.m):
-                want = rep.valid and is_interference(complete(L.n), D, rep.labeling)
+            K = complete(L.n)
+            if G.m <= 10:
+                targets = range(1, 1 << G.m)
+            else:
+                rng = random.Random(itf.to_graph6(G))
+                targets = [rng.randrange(1, 1 << G.m) for _ in range(100)]
+            for D in targets:
+                want = rep.valid and is_interference(K, D, rep.labeling)
                 assert line_interference_of(G, D) == want, (itf.to_graph6(G), bin(D))
 
     def test_seeded_order_six(self):
@@ -98,7 +109,7 @@ class TestInterferenceOf:
                 assert line_interference_of(G, D) == want
 
     def test_singleton_edges(self):
-        for G in itf.connected_graphs_upto(5):
+        for G in itf.graphs_upto(6):
             if G.m == 0:
                 continue
             L, rep = line_oracle_labeling(G)
@@ -169,7 +180,7 @@ class TestComplementedEdgeRoute:
     def test_against_definitional_oracle(self, n):
         rng = random.Random(n)
         for G in itf.connected_graphs(n):
-            L, _ = line_graph(G)
+            L = line_graph(G)
             rep = itf.complemented_labeling(L)
             for _ in range(20):
                 D = rng.randrange(1, 1 << G.m)
@@ -232,6 +243,6 @@ class TestComplementedEdgeRoute:
             itf.line_complemented_independence_rule(G)
         )
         assert fired
-        L, _ = line_graph(G)
+        L = line_graph(G)
         rep = itf.complemented_labeling(L)
         assert rep.valid and is_complete_interference(rep.labeling)
