@@ -9,7 +9,8 @@ set) and prunes with:
   Vs keeps only codes meeting the union of elements still available in Vs
   (a code intersects some member of a union iff it intersects the union);
   each vertex's element union is read once per fixpoint round from one
-  code mask per ground element, and refreshed when its domain shrinks;
+  code mask per ground element (a committed code is its own union), and
+  refreshed when its domain shrinks;
 * a dual rule: when only one candidate vertex can still support u, that
   vertex keeps only codes meeting u's remaining elements;
 * implied constraints are not propagated: (u, Vs) is dropped when u has a
@@ -19,6 +20,14 @@ set) and prunes with:
   every constraint);
 * all-different unit propagation plus a union cardinality check (labels must
   be pairwise distinct);
+* neighbor counting on the forced graph F, whose edges are the pairs
+  (u, {v}) with one candidate (f(u) and f(v) must meet): a vertex u of
+  F-degree d >= 2 keeps a code c only if the union of its F-neighbors'
+  domains holds at least d codes that meet c and differ from it, since those
+  neighbors take pairwise distinct codes, each meeting c and none equal to
+  it (Solnon, Artif. Intell. 174, 2010).  At the root this is a degree
+  filter.  Degree-1 vertices are left to the support rule and all-different;
+  an empty forced table turns the rule off;
 * first-occurrence symmetry breaking: along the fixed assignment order,
   each new label may introduce only a contiguous block of fresh ground
   elements, so solutions are explored once per ground-permutation orbit;
@@ -187,6 +196,16 @@ class _Kernel:
         self.constraints = [
             (u, tuple(iter_bits(cands))) for u, cands in _minimal_constraints(constraints)
         ]
+        # the forced graph F: a one-candidate pair (u, {v}) forces f(u) and
+        # f(v) to meet; forced lists (u, F-neighbors) for F-degree >= 2
+        fnbrs = [0] * self.n
+        for u, vs in self.constraints:
+            if len(vs) == 1:
+                fnbrs[u] |= 1 << vs[0]
+                fnbrs[vs[0]] |= 1 << u
+        self.forced = [
+            (u, tuple(iter_bits(ws))) for u, ws in enumerate(fnbrs) if ws & (ws - 1)
+        ]
         # the order and the twin classes read every pair, implied ones too
         weight = [0] * self.n
         for u, cands in constraints:
@@ -204,6 +223,8 @@ class _Kernel:
 
     def _union(self, d: int) -> int:
         """Union of the element masks of every code in domain d."""
+        if d & (d - 1) == 0:
+            return d.bit_length() - 1 if d else 0  # a committed code is its own union
         out = 0
         for bit, codes in self.elem_codes:
             if d & codes:
@@ -265,6 +286,24 @@ class _Kernel:
                         dom[sole] = nv
                         eu[sole] = union(nv)
                         changed = True
+            # neighbor counting: u's F-neighbors need distinct codes that
+            # meet u's code c and differ from it
+            for u, ws in self.forced:
+                avail = 0
+                for w in ws:
+                    avail |= dom[w]
+                d = len(ws)
+                du = nd = dom[u]
+                while du:
+                    low = du & -du
+                    du ^= low
+                    if (avail & (sup[low.bit_length() - 1] ^ low)).bit_count() < d:
+                        nd ^= low
+                if nd == 0:
+                    return False
+                if nd != dom[u]:
+                    dom[u] = nd
+                    changed = True
         return True
 
     def search(self) -> Optional[SetLabeling]:

@@ -30,8 +30,6 @@ from .graphs import (
     bfs_distances,
     closed_neighborhood,
     complemented_neighborhood,
-    diameter,
-    edge_in_triangle,
     is_connected,
     is_point_determining,
     is_regular,
@@ -130,12 +128,9 @@ def neighborhood_interference_of(G: Graph, D: int) -> bool:
 
 def neighborhood_complete(G: Graph) -> bool:
     """u -> N(u) pairwise-intersecting and valid: point-determining graph of
-    order >= 2 with diameter <= 2 whose every edge lies in a triangle."""
-    if G.n < 2 or not is_point_determining(G):
-        return False
-    if diameter(G) > 2:
-        return False
-    return all(edge_in_triangle(G, e) for e in G.edges)
+    order >= 2 with diameter <= 2 whose every edge lies in a triangle, that
+    is, every two vertices have a common neighbor (two_path_complete)."""
+    return G.n >= 2 and is_point_determining(G) and two_path_complete(G)
 
 
 def neighborhood_singleton(G: Graph, v: int) -> bool:

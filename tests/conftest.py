@@ -7,6 +7,8 @@ import contextlib
 import pytest
 
 from interfere.cli import main as cli_main
+from interfere.core import expand_pattern
+from interfere.index_search import _constraints_for, _Kernel
 
 
 def run_cli(argv):
@@ -23,6 +25,20 @@ def run_cli(argv):
 def run_cli_json(argv):
     code, text = run_cli(argv)
     return code, json.loads(text)
+
+
+def forced_rule_on_off(G, P, m, budget=10**8):
+    """One kernel search at m with neighbor counting on, then off (the forced
+    table emptied): [(witness or None, nodes) on, (witness or None, nodes) off].
+    Raises NoDominatingSetError when a member of P fails to dominate."""
+    constraints = _constraints_for(G, expand_pattern(G, P))
+    runs = []
+    for on in (True, False):
+        kern = _Kernel(G, constraints, m, budget, True)
+        if not on:
+            kern.forced = []
+        runs.append((kern.search(), kern.nodes))
+    return runs
 
 
 @pytest.fixture

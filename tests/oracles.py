@@ -202,12 +202,19 @@ def reference_propagate(n, constraints, m, dom):
     constraints holds (u, candidate-mask) pairs; dom[v] is a bitmask of the
     label codes (1..2^m - 1) still open to v, narrowed in place.  Each
     constraint visit recomputes every candidate's element union by walking
-    its codes.  Returns False on a wipeout or too few codes for n distinct
-    labels.
+    its codes.  Neighbor counting reads the forced graph, the one-candidate
+    pairs, from the whole list and counts codes in plain sets.  Returns
+    False on a wipeout or too few codes for n distinct labels.
     """
     codes = range(1, 1 << m)
     # sup[x] = codes meeting element mask x
     sup = [sum(1 << c for c in codes if c & x) for x in range(1 << m)]
+    forced = [set() for _ in range(n)]
+    for u, cands in constraints:
+        vs = bit_list(cands)
+        if len(vs) == 1:
+            forced[u].add(vs[0])
+            forced[vs[0]].add(u)
 
     def elem_union(d):
         out = 0
@@ -259,4 +266,21 @@ def reference_propagate(n, constraints, m, dom):
                     if nv != dom[v]:
                         dom[v] = nv
                         changed = True
+        # neighbor counting: the F-neighbors of u take distinct codes, each
+        # meeting u's code and none equal to it; degree-1 vertices are skipped
+        for u in range(n):
+            ws = forced[u]
+            if len(ws) < 2:
+                continue
+            avail = {c for w in ws for c in codes if dom[w] >> c & 1}
+            keep = {
+                c for c in codes
+                if dom[u] >> c & 1 and len({a for a in avail if a & c and a != c}) >= len(ws)
+            }
+            if not keep:
+                return False
+            nd = sum(1 << c for c in keep)
+            if nd != dom[u]:
+                dom[u] = nd
+                changed = True
     return True

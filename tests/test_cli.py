@@ -184,17 +184,17 @@ class TestIndex:
 
     def test_budget_flag_exits_three(self):
         code, out = run_cli(
-            ["index", "--graph", "complete:6", "--pattern", "singletons",
+            ["index", "--graph", "complete:9", "--pattern", "all-dominating",
              "--budget", "3"]
         )
         assert code == BUDGET
         assert json.loads(out)["error"]["kind"] == "budget"
 
     def test_budget_message_names_the_given_budget(self):
-        # refuting m=3 takes 9 nodes; m=4 is the construction's and takes none
-        code, obj = run_cli_json(["index", "--graph", "complete:5", "--budget", "5"])
+        # refuting m=4 takes 98 nodes; m=5 is the construction's and takes none
+        code, obj = run_cli_json(["index", "--graph", "complete:9", "--budget", "5"])
         assert code == BUDGET
-        assert obj["error"]["message"] == "node budget 5 exhausted at m=3"
+        assert obj["error"]["message"] == "node budget 5 exhausted at m=4"
 
     def test_negative_budget_is_usage(self, monkeypatch):
         # complete:4 needs no search, so no budget can run out there
@@ -224,20 +224,20 @@ class TestIndex:
         finally:
             sys.setrecursionlimit(limit)
         assert code == OK
-        assert obj["index"] == 8 and obj["nodes_explored"] == 203
+        assert obj["index"] == 8 and obj["nodes_explored"] == 201
 
     def test_budget_env(self, monkeypatch):
         monkeypatch.setenv("INTERFERE_BUDGET", "2")
-        code, out = run_cli(["index", "--graph", "complete:5", "--pattern", "singletons"])
+        code, out = run_cli(["index", "--graph", "complete:9", "--pattern", "all-dominating"])
         assert code == BUDGET
 
     def test_budget_flag_beats_env(self, monkeypatch):
         monkeypatch.setenv("INTERFERE_BUDGET", "2")
         code, obj = run_cli_json(
-            ["index", "--graph", "complete:5", "--pattern", "singletons",
+            ["index", "--graph", "complete:9", "--pattern", "all-dominating",
              "--budget", "100000"]
         )
-        assert code == OK and obj["index"] == 4
+        assert code == OK and obj["index"] == 5
 
 
 class TestBrm:

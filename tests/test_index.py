@@ -25,6 +25,7 @@ from interfere.cli import bipartition
 from interfere.core import expand_pattern
 from interfere.index_search import _constraints_for, _Kernel
 
+from conftest import forced_rule_on_off
 from oracles import (
     brute_exists_interference,
     brute_is_interference,
@@ -162,6 +163,44 @@ class TestSymmetryRules:
         assert twins(0b0101, 0b0110, 0b1001, 0b1010) == {0: -1, 1: 0, 2: -1, 3: 2}
 
 
+class TestNeighborCounting:
+    """Neighbor counting removes only codes that lie in no solution: with the
+    forced table emptied, the search gives the same verdict and the same first
+    witness, in at least as many nodes."""
+
+    @staticmethod
+    def _compare(G, P, m):
+        """True when the rule saved nodes; NoDominatingSetError propagates."""
+        (on, nodes_on), (off, nodes_off) = forced_rule_on_off(G, P, m)
+        key = (itf.to_graph6(G), P.kind, m)
+        assert on == off, key
+        assert nodes_on <= nodes_off, key
+        if on is not None:
+            for D in expand_pattern(G, P):
+                assert brute_is_interference(G, itf.bit_list(D), on), key
+        return nodes_on < nodes_off
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_connected_graph(self, n):
+        saved = 0
+        for G in itf.connected_graphs(n):
+            for P in patterns_of(G):
+                for m in range(index_lower_bound(n), universal_upper_bound(n) + 1):
+                    try:
+                        saved += self._compare(G, P, m)
+                    except NoDominatingSetError:
+                        break
+        if n >= 5:
+            assert saved > 0  # the rule has codes to remove from order 5 on
+
+    def test_forced_table(self):
+        # star:3 under {0}: each leaf's one candidate is the center, so F is
+        # the star itself and only the center has F-degree >= 2
+        G = itf.star(3)
+        kern = _Kernel(G, _constraints_for(G, [0b0001]), 3, 10**6, True)
+        assert kern.forced == [(0, (1, 2, 3))]
+
+
 class TestIndexAgainstScan:
     """One search at L plus the construction at U gives the upward scan's index."""
 
@@ -211,31 +250,47 @@ class TestImpliedConstraints:
 
 
 class TestPinnedSearch:
-    """Dropping implied pairs leaves the search tree as it was: node counts,
-    phases and witnesses as the kernel gives them on the full pair list."""
+    """Node counts, phases and witnesses of the kernel.  The witnesses are
+    those the kernel gave before it dropped implied pairs and before neighbor
+    counting: both remove only codes that lie in no solution, so the first
+    witness of the search stays the same."""
 
     @pytest.mark.parametrize("G,P,trace,witness", [
         pytest.param(
             complete_bipartite(6, 6), Pattern.all_dominating(),
-            [(4, False, 3408), (5, True, 0)],
+            [(4, False, 139), (5, True, 0)],
             (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23),
             id="K6,6",
         ),
         pytest.param(
             gnp(10, 0.8, 5), Pattern.all_minimal_dominating(),
-            [(4, True, 2098)], (10, 3, 6, 7, 14, 9, 15, 11, 13, 5),
+            [(4, True, 11)], (10, 3, 6, 7, 14, 9, 15, 11, 13, 5),
             id="G(10,0.8)#5",
         ),
         pytest.param(
             gnp(10, 0.8, 35), Pattern.all_minimal_dominating(),
-            [(4, True, 4022)], (11, 12, 3, 5, 13, 6, 9, 7, 10, 14),
+            [(4, True, 10)], (11, 12, 3, 5, 13, 6, 9, 7, 10, 14),
             id="G(10,0.8)#35",
         ),
         pytest.param(
             gnp(15, 0.8, 1), Pattern.all_minimal_dominating(),
-            [(4, False, 2379), (5, True, 0)],
+            [(4, False, 0), (5, True, 0)],
             (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29),
             id="G(15,0.8)#1",
+        ),
+        # neighbor counting refutes m = 4 at the root
+        pytest.param(
+            gnp(12, 0.8, 1), Pattern.all_minimal_dominating(),
+            [(4, False, 0), (5, True, 0)],
+            (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23),
+            id="G(12,0.8)#1",
+        ),
+        # and here early in the search
+        pytest.param(
+            gnp(14, 0.7, 1), Pattern.all_minimal_dominating(),
+            [(4, False, 392), (5, True, 0)],
+            (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27),
+            id="G(14,0.7)#1",
         ),
     ])
     def test_nodes_trace_and_witness(self, G, P, trace, witness):
@@ -355,11 +410,11 @@ class TestIndexMachinery:
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(SearchBudgetExceeded) as info:
-            interference_index(complete(6), Pattern.singletons(), budget=3)
+            interference_index(complete(9), Pattern.all_dominating(), budget=3)
         assert info.value.nodes >= 3
 
     def test_budget_bounds_the_whole_call(self):
-        G, P = complete(5), Pattern.singletons()
+        G, P = complete(9), Pattern.all_dominating()
         res = interference_index(G, P)
         total = res.nodes_explored
         assert total == sum(p.nodes for p in res.trace)

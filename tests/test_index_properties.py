@@ -1,9 +1,11 @@
-"""Property tests: the index kernel's symmetry rules on graphs full of twins.
+"""Property tests: the index kernel's pruning rules, each on and off.
 
-Graphs of order 7-9 lie past the exhaustive differential tests in
-test_index.py.  Each is a random connected base graph with planted true
-twins (same closed neighborhood) and false twins (same open neighborhood),
-which is where twin ordering prunes.
+Graphs of order 7-12 lie past the exhaustive differential tests in
+test_index.py.  The symmetry rules run on a random connected base graph of
+order 7-9 with planted true twins (same closed neighborhood) and false twins
+(same open neighborhood), which is where twin ordering prunes.  Neighbor
+counting runs on dense connected graphs of order 9-12, where the forced
+graph holds most edges.
 """
 
 from hypothesis import given, reject, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import interfere as itf
 from interfere import Pattern, SearchBudgetExceeded, exists_interference, index_lower_bound
 
+from conftest import forced_rule_on_off
 from oracles import brute_is_interference
 
 
@@ -40,8 +43,22 @@ def graphs_with_twins(draw):
 
 
 @st.composite
-def graph_and_pattern(draw):
-    G = draw(graphs_with_twins())
+def dense_graphs(draw):
+    """A connected graph of order 9-12: a random spanning tree plus each other
+    pair with probability k/10, k drawn from 5-8."""
+    n = draw(st.integers(9, 12))
+    k = draw(st.integers(5, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.integers(0, 9)) < k:
+                edges.add((u, v))
+    return itf.Graph(n, sorted(edges))
+
+
+@st.composite
+def graph_and_pattern(draw, graphs=graphs_with_twins()):
+    G = draw(graphs)
     if draw(st.booleans()):
         return G, Pattern.all_minimal_dominating()
     # an explicit subfamily can make graph twins asymmetric
@@ -71,3 +88,24 @@ def test_twin_ordering_keeps_verdicts_and_witnesses(case):
         if witness is not None:
             for D in itf.expand_pattern(G, P):
                 assert brute_is_interference(G, itf.bit_list(D), witness)
+
+
+# Neighbor counting off, refuting m = L at order 12 can take tens of
+# thousands of nodes; such examples are rejected.
+FORCED_OFF_BUDGET = 3000
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(graph_and_pattern(dense_graphs()))
+def test_neighbor_counting_keeps_verdicts_and_witnesses(case):
+    G, P = case
+    try:
+        (on, nodes_on), (off, nodes_off) = forced_rule_on_off(
+            G, P, index_lower_bound(G.n), FORCED_OFF_BUDGET)
+    except SearchBudgetExceeded:
+        reject()
+    assert on == off, itf.to_graph6(G)
+    assert nodes_on <= nodes_off, itf.to_graph6(G)
+    if on is not None:
+        for D in itf.expand_pattern(G, P):
+            assert brute_is_interference(G, itf.bit_list(D), on)
