@@ -84,7 +84,6 @@ from .graphs import (
     fingerprint,
     from_edge_list,
     from_graph6,
-    independence_number,
     induced_subgraph,
     is_connected,
     is_point_determining,

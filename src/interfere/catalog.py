@@ -11,6 +11,15 @@ cut.  Of mutual twins in a cell only one is tried: swapping two twins is an
 automorphism that fixes every placed vertex, so the skipped subtree gives the
 same codes.
 
+The stable partition is found by counting.  Refinement starts from degree
+ranks; each round keys a vertex by its color, then by its neighbor count in
+each color cell in color order, a larger count first, and ranks the keys
+until no cell splits (McKay's equitable-partition step).  Colors refine
+degree, so vertices of one color have equally many neighbors; for those,
+"more neighbors of the first color where the counts differ" is the order of
+their sorted neighbor-color tuples, so the classes come out in the same order
+as by sorting those tuples.
+
 Graphs on n vertices are produced by augmenting every (n-1)-vertex
 representative R with one new vertex, then deduplicating by certificate.  The
 search run on R finds automorphisms of R: a transposition for each skipped
@@ -18,6 +27,8 @@ twin, and the map between the orderings of any two leaves with the best code.
 R is augmented only with the neighbor sets that start a new orbit under
 those automorphisms.  They span a subgroup of Aut(R), so some isomorphic
 augmentations remain; the certificate removes them, and the catalog is exact.
+A candidate is certified on its adjacency rows; only the representatives
+become Graphs.
 
 Known totals used by the tests: 1, 2, 4, 11, 34, 156, 1044, 12346 graphs and
 1, 1, 2, 6, 21, 112, 853, 11117 connected graphs on 1..8 vertices.
@@ -25,7 +36,7 @@ Known totals used by the tests: 1, 2, 4, 11, 34, 156, 1044, 12346 graphs and
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bitset import iter_bits
 from .errors import CapExceededError
@@ -37,33 +48,41 @@ MAX_CATALOG_N = 8
 Perm = Tuple[int, ...]
 
 
-def _refine_colors(G: Graph) -> List[int]:
-    colors = [G.degree(v) for v in G.vertices()]
+def _refine_colors(n: int, adj: Sequence[int]) -> List[int]:
+    colors = [a.bit_count() for a in adj]
     ranks = {c: i for i, c in enumerate(sorted(set(colors)))}
     colors = [ranks[c] for c in colors]
+    width = n.bit_length()
+    top = (1 << width) - 1
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in iter_bits(G.adj[v]))))
-            for v in G.vertices()
-        ]
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if new == colors:
+        cells = [0] * len(ranks)
+        for v, c in enumerate(colors):
+            cells[c] |= 1 << v
+        # fields of `width` bits: own color, then top minus the neighbor
+        # count per cell, so that a larger count sorts first
+        keys = []
+        for v, a in enumerate(adj):
+            key = colors[v]
+            for C in cells:
+                key = key << width | (top - (a & C).bit_count())
+            keys.append(key)
+        ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
+        if len(ranks) == len(cells):
             return colors
-        colors = new
+        colors = [ranks[k] for k in keys]
 
 
-def _search(G: Graph, autos: Optional[List[Perm]] = None) -> int:
-    """The minimal adjacency code over the orderings the refinement allows.
+def _search(n: int, adj: Sequence[int], autos: Optional[List[Perm]] = None) -> int:
+    """The minimal adjacency code of the graph with rows ``adj`` over the
+    orderings the refinement allows.
 
-    When ``autos`` is a list, the automorphisms of G met on the way (skipped
+    When ``autos`` is a list, the automorphisms met on the way (skipped
     twins, leaves tied for the best code) are appended to it.
     """
-    n, adj = G.n, G.adj
-    colors = _refine_colors(G)
+    colors = _refine_colors(n, adj)
     classes: dict[int, int] = {}
-    for v in G.vertices():
-        classes[colors[v]] = classes.get(colors[v], 0) | 1 << v
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
     prefix = [0] * (n + 1)  # prefix[d]: code of rows 0..d-1 on the current path
     best: List[int] = []  # prefix of the best leaf so far
     leaves: List[List[int]] = []  # orderings reaching the best code
@@ -133,9 +152,16 @@ def _search(G: Graph, autos: Optional[List[Perm]] = None) -> int:
     return best[n]
 
 
-def certificate(G: Graph) -> Tuple[int, int]:
+class _Rows(NamedTuple):
+    """The part of a Graph that certificate reads: order and adjacency rows."""
+
+    n: int
+    adj: List[int]
+
+
+def certificate(G: Union[Graph, _Rows]) -> Tuple[int, int]:
     """Exact isomorphism certificate: (n, minimal adjacency code)."""
-    return (G.n, _search(G))
+    return (G.n, _search(G.n, G.adj))
 
 
 def _orbit_starts(k: int, autos: List[Perm]) -> List[int]:
@@ -188,13 +214,14 @@ def all_graphs(n: int) -> Tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
     reps: dict[Tuple[int, int], None] = {}
+    new_bit = 1 << (n - 1)  # the new vertex n - 1
     for R in all_graphs(n - 1):
         autos: List[Perm] = []
-        _search(R, autos)
-        base = list(R.edges)
+        _search(R.n, R.adj, autos)
         for mask in _orbit_starts(n - 1, autos):
-            edges = base + [(v, n - 1) for v in iter_bits(mask)]
-            reps.setdefault(certificate(Graph(n, edges)))
+            rows = [a | new_bit if mask >> v & 1 else a for v, a in enumerate(R.adj)]
+            rows.append(mask)
+            reps.setdefault(certificate(_Rows(n, rows)))
     certs = sorted(reps, key=lambda c: (bin(c[1]).count("1"), c[1]))
     return tuple(_graph_from_certificate(c) for c in certs)
 

@@ -20,6 +20,7 @@ import os
 import random
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -568,6 +569,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@lru_cache(maxsize=None)  # built by the first main call, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="interfere", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,12 +12,11 @@ import math
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .bitset import iter_bits
-from .errors import CapExceededError, GraphFormatError
+from .errors import GraphFormatError
 
 
 # Distance to an unreachable vertex; orders above every int and never overflows.
 INFINITY = math.inf
-_INDEPENDENCE_CAP = 16  # independence_number refuses graphs of larger order
 
 Distance = Union[int, float]
 
@@ -202,30 +201,6 @@ def is_regular(G: Graph) -> Optional[int]:
     """The common degree if G is regular, else None."""
     degs = {mask.bit_count() for mask in G.adj}
     return degs.pop() if len(degs) == 1 else None
-
-
-def independence_number(G: Graph) -> int:
-    """Exact maximum independent set size by branch and bound; refuses n > 16."""
-    if G.n > _INDEPENDENCE_CAP:
-        raise CapExceededError(f"independence_number: n={G.n} exceeds cap {_INDEPENDENCE_CAP}")
-    closed = [G.adj[v] | (1 << v) for v in G.vertices()]
-    best = 0
-
-    def rec(mask: int, size: int) -> None:
-        nonlocal best
-        if size + mask.bit_count() <= best:
-            return
-        if mask == 0:
-            best = max(best, size)
-            return
-        # branch on a max-degree-in-mask vertex: skipping it removes one
-        # vertex, taking it removes its whole closed neighborhood
-        v = max(iter_bits(mask), key=lambda w: (G.adj[w] & mask).bit_count())
-        rec(mask & ~closed[v], size + 1)
-        rec(mask & ~(1 << v), size)
-
-    rec(G.full_mask, 0)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@
 Everything here works on plain Python sets and itertools, on purpose: the
 package itself runs on integer bitmasks, so agreement between the two routes
 is meaningful.  These oracles are deliberately slow and simple.
-reference_propagate is the one exception: it runs the index kernel's
+There are two exceptions.  reference_propagate runs the index kernel's
 propagation rules on the kernel's bitmask domains, walking every code.
+independence_number is a bitmask branch and bound; the tests check it
+against an exhaustive scan and use it to check the package's vertex-cover
+test.
 brute_certificate walks every vertex ordering its refinement allows, which
-the package's certificate search reaches row by row.  scan_index asks the
+the package's certificate search reaches row by row; that refinement,
+reference_refine_colors, compares sorted neighbor-color tuples where the
+package counts neighbors per color cell.  scan_index asks the
 package's exists_interference at every m between the index bounds, where
 interference_index trusts the doubling construction at the upper one.
 """
@@ -14,13 +19,17 @@ interference_index trusts the doubling construction at the upper one.
 import itertools
 
 from interfere import (
+    CapExceededError,
     Graph,
     SetLabeling,
     bit_list,
     exists_interference,
     index_lower_bound,
+    iter_bits,
     universal_upper_bound,
 )
+
+_INDEPENDENCE_CAP = 16  # independence_number refuses graphs of larger order
 
 
 def neighbor_sets(G: Graph):
@@ -32,9 +41,8 @@ def neighbor_sets(G: Graph):
     return [frozenset(s) for s in nbrs]
 
 
-def brute_certificate(G: Graph):
-    """(n, minimal upper-triangle adjacency code) over every vertex ordering
-    that lists the stable color-refinement classes in color order.
+def reference_refine_colors(G: Graph):
+    """Stable color refinement as a list of color ranks.
 
     Refinement starts from degree ranks; each round ranks the vertices by
     (color, sorted neighbor colors) until no class splits.
@@ -47,8 +55,15 @@ def brute_certificate(G: Graph):
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranks[s] for s in sigs]
         if len(set(new)) == len(set(colors)):
-            break
+            return new
         colors = new
+
+
+def brute_certificate(G: Graph):
+    """(n, minimal upper-triangle adjacency code) over every vertex ordering
+    that lists the classes of reference_refine_colors in color order."""
+    nbrs = neighbor_sets(G)
+    colors = reference_refine_colors(G)
     groups = [[v for v in range(G.n) if colors[v] == c] for c in sorted(set(colors))]
     best = None
     for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
@@ -284,3 +299,27 @@ def reference_propagate(n, constraints, m, dom):
                 dom[u] = nd
                 changed = True
     return True
+
+
+def independence_number(G: Graph) -> int:
+    """Exact maximum independent set size by branch and bound; refuses n > 16."""
+    if G.n > _INDEPENDENCE_CAP:
+        raise CapExceededError(f"independence_number: n={G.n} exceeds cap {_INDEPENDENCE_CAP}")
+    closed = [G.adj[v] | (1 << v) for v in G.vertices()]
+    best = 0
+
+    def rec(mask: int, size: int) -> None:
+        nonlocal best
+        if size + mask.bit_count() <= best:
+            return
+        if mask == 0:
+            best = max(best, size)
+            return
+        # branch on a max-degree-in-mask vertex: skipping it removes one
+        # vertex, taking it removes its whole closed neighborhood
+        v = max(iter_bits(mask), key=lambda w: (G.adj[w] & mask).bit_count())
+        rec(mask & ~closed[v], size + 1)
+        rec(mask & ~(1 << v), size)
+
+    rec(G.full_mask, 0)
+    return best

@@ -7,7 +7,7 @@ import pytest
 
 import interfere as itf
 from interfere import Graph, catalog, certificate
-from oracles import brute_catalogs, brute_certificate
+from oracles import brute_catalogs, brute_certificate, reference_refine_colors
 
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -75,6 +75,23 @@ def symmetric_graphs():
 SYMMETRIC = symmetric_graphs()
 
 
+class TestRefinement:
+    def test_matches_sorted_tuple_refinement(self):
+        # counting neighbors per cell, more first, ranks the vertices as
+        # sorting their neighbor-color tuples does
+        rng = random.Random(5)
+        graphs = list(SYMMETRIC.values())
+        for n in range(1, 8):
+            for G in itf.all_graphs(n):
+                graphs.append(G)
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    graphs.append(relabeled(G, perm))
+        for G in graphs:
+            assert catalog._refine_colors(G.n, G.adj) == reference_refine_colors(G), G.edges
+
+
 class TestCertificate:
     def test_matches_brute_force_under_relabeling(self):
         rng = random.Random(7)
@@ -113,7 +130,7 @@ class TestCertificate:
         for n in range(1, 8):
             for G in [*itf.all_graphs(n), *(H for H in SYMMETRIC.values() if H.n == n)]:
                 autos = []
-                catalog._search(G, autos)
+                catalog._search(G.n, G.adj, autos)
                 for p in autos:
                     assert sorted(p) == list(range(n))
                     assert sorted(tuple(sorted((p[u], p[v]))) for u, v in G.edges) == list(G.edges)

@@ -339,7 +339,7 @@ class TestLinegraph:
         assert obj["rules"]["regular"] is True
         assert obj["rules"]["independence"] is False
         assert obj["rule"] == "regular" and obj["verdict"] is True
-        # order 18 is past independence_number's cap
+        # order 18: the rule is decided by a vertex-cover test, with no order cap
         code, obj = run_cli_json(["linegraph", "--graph", "kpq:9,9", "--check", "rules"])
         assert code == OK and obj["verdict"] is True
         assert obj["rules"]["independence"] is True
@@ -492,3 +492,27 @@ class TestHarness:
     def test_unknown_command(self):
         code, _ = run_cli(["frobnicate"])
         assert code == USAGE
+
+    def test_one_parser_serves_every_call(self):
+        # main builds its parser once; calls after a usage error and after a
+        # success must print what a call with a freshly built parser prints
+        from interfere import cli
+
+        calls = [
+            ["index", "--graph", "cycle:5", "--max-m", "x"],
+            ["index", "--graph", "cycle:5"],
+            ["nbd", "--graph", "cycle:5"],
+        ]
+        cli._build_parser.cache_clear()
+        shared = []
+        for argv in calls:
+            code, out = run_cli(argv)
+            shared.append((code, strip_timing(json.loads(out))))
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            code, out = run_cli(argv)
+            fresh.append((code, strip_timing(json.loads(out))))
+        assert shared == fresh
+        assert [code for code, _ in shared] == [USAGE, OK, USAGE]

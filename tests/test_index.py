@@ -307,7 +307,9 @@ class TestPropagation:
     @staticmethod
     def _agrees(rng, G, D_masks):
         """Propagate from random commitments both ways and compare.  Returns
-        (pairs, pairs propagated), or None when a member fails to dominate."""
+        (pairs, pairs propagated, whether the kernel with neighbor counting
+        off reaches another fixpoint), or None when a member fails to
+        dominate."""
         try:
             constraints = _constraints_for(G, D_masks)
         except NoDominatingSetError:
@@ -326,7 +328,10 @@ class TestPropagation:
         assert ok == reference_propagate(n, constraints, m, want)
         if ok:
             assert got == want
-        return len(constraints), len(kern.constraints)
+        off = list(dom)
+        kern.forced = []
+        off_ok = kern._propagate(off)
+        return len(constraints), len(kern.constraints), (ok, ok and got) != (off_ok, off_ok and off)
 
     def test_matches_reference_fixpoint(self):
         rng = random.Random(7)
@@ -356,6 +361,19 @@ class TestPropagation:
             pairs += counts[0]
             propagated += counts[1]
         assert 2 * propagated < pairs  # most pairs are implied here
+
+    def test_neighbor_counting_fires_on_dense_graphs(self):
+        # at edge probability 0.8 one-candidate pairs are common, and the
+        # forced graph refutes commitments that the other rules leave open
+        rng = random.Random(13)
+        fired = 0
+        for _ in range(150):
+            n = rng.randint(7, 8)
+            G = itf.Graph(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.8
+            ])
+            fired += self._agrees(rng, G, itf.minimal_dominating_sets(G))[2]
+        assert fired
 
     def test_nested_explicit_members(self):
         rng = random.Random(11)
