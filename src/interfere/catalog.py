@@ -59,12 +59,18 @@ def _refine_colors(n: int, adj: Sequence[int]) -> List[int]:
         for v, c in enumerate(colors):
             cells[c] |= 1 << v
         # fields of `width` bits: own color, then top minus the neighbor
-        # count per cell, so that a larger count sorts first
+        # count per cell, so that a larger count sorts first.  A vertex alone
+        # in its cell is ranked by its color alone: no other key has it.
+        shift = width * len(cells)
         keys = []
         for v, a in enumerate(adj):
             key = colors[v]
-            for C in cells:
-                key = key << width | (top - (a & C).bit_count())
+            own = cells[key]
+            if own & (own - 1):
+                for C in cells:
+                    key = key << width | (top - (a & C).bit_count())
+            else:
+                key <<= shift
             keys.append(key)
         ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
         if len(ranks) == len(cells):
