@@ -25,14 +25,12 @@ from .core import (
     Violation,
     build_complete_interference,
     expand_pattern,
-    interference_violation,
     is_complete_interference,
     is_interference,
     is_pattern_interference,
     is_valid_labeling,
     overlap_graph,
     overlap_violation,
-    random_labeling,
 )
 from .domination import (
     all_dominating_sets,
@@ -79,18 +77,13 @@ from .graphs import (
     components,
     diameter,
     distance,
-    edge_adjacency_masks,
-    edge_in_triangle,
     fingerprint,
     from_edge_list,
     from_graph6,
-    induced_subgraph,
     is_connected,
     is_point_determining,
     is_regular,
     line_graph,
-    open_neighborhood,
-    second_neighborhood,
     to_edge_list_text,
     to_graph6,
 )
@@ -117,7 +110,6 @@ from .linegraph import (
     line_complemented_interference_of,
     line_complemented_regular_rule,
     line_complemented_size_rule,
-    line_complete,
     line_complete_report,
     line_injective,
     line_injectivity_report,

@@ -200,14 +200,15 @@ def _orbit_starts(k: int, autos: List[Perm]) -> List[int]:
 
 def _graph_from_certificate(cert: Tuple[int, int]) -> Graph:
     n, code = cert
-    edges = []
+    rows = [0] * n
     pos = n * (n - 1) // 2
     for i in range(n):
         for j in range(i + 1, n):
             pos -= 1
             if code >> pos & 1:
-                edges.append((i, j))
-    return Graph(n, edges)
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph.from_rows(rows)
 
 
 @lru_cache(maxsize=None)

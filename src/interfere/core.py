@@ -10,7 +10,6 @@ interference of a *family* of sets when it is one for every member.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -95,12 +94,10 @@ def overlap_graph(G: Graph, f: SetLabeling) -> Graph:
     if f.n != G.n:
         raise ValueError("labeling size does not match graph order")
     labs = f.labels
-    return Graph(G.n, [(u, v) for u, v in G.edges if labs[u] & labs[v]])
-
-
-def interference_violation(G: Graph, D: int, f: SetLabeling) -> Optional[Violation]:
-    """First vertex (ascending) violating the interference condition, or None."""
-    return overlap_violation(G, overlap_graph(G, f), D)
+    return Graph.from_rows([
+        mask_of(v for v in iter_bits(row) if labs[u] & labs[v])
+        for u, row in enumerate(G.adj)
+    ])
 
 
 def overlap_violation(G: Graph, H: Graph, D: int) -> Optional[Violation]:
@@ -116,7 +113,7 @@ def overlap_violation(G: Graph, H: Graph, D: int) -> Optional[Violation]:
 
 
 def is_interference(G: Graph, D: int, f: SetLabeling) -> bool:
-    return interference_violation(G, D, f) is None
+    return overlap_violation(G, overlap_graph(G, f), D) is None
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +218,3 @@ def build_complete_interference(n: int) -> SetLabeling:
     m = 1 + (n - 1).bit_length()
     return SetLabeling(m, tuple(1 | (i << 1) for i in range(n)))
 
-
-def random_labeling(n: int, m: int, rng: random.Random) -> SetLabeling:
-    """Uniformly chosen valid labeling: n distinct nonempty subsets of {0..m-1}."""
-    if (1 << m) - 1 < n:
-        raise ValueError(f"cannot pick {n} distinct nonempty labels from {m} elements")
-    codes = rng.sample(range(1, 1 << m), n)
-    return SetLabeling(m, tuple(codes))

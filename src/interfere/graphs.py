@@ -1,15 +1,18 @@
 """Simple-graph core: immutable graphs, metrics, derived graphs, text formats.
 
 Vertices are always 0..n-1.  Vertex sets are int bitmasks (see bitset.py).
-Edges are canonical ``(u, v)`` pairs with ``u < v``, stored sorted, so the
-edge order (and therefore every edge index used by the line-graph routines)
-is reproducible.
+A graph is stored as its adjacency rows: adj[u] is the bitmask of N(u).
+Every derived graph (line graph, two-path graph, overlap graph) builds its
+rows directly.  The edge list is derived from the rows on first use, read
+row by row with u < v, which is the canonical sorted order of ``(u, v)``
+pairs; so the edge order, every edge index used by the line-graph routines,
+and the vertex numbering of L(G) are reproducible.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bitset import iter_bits
 from .errors import GraphFormatError
@@ -24,40 +27,60 @@ Distance = Union[int, float]
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "edges", "full_mask", "_edge_index")
+    __slots__ = ("n", "adj", "full_mask", "_edges", "_edge_index")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"graph order must be a positive int, got {n!r}")
-        canon = []
-        seen = set()
+        adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-        canon.sort()
-        adj = [0] * n
-        for u, v in canon:
+            if adj[u] >> v & 1:
+                raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "full_mask", (1 << n) - 1)
-        object.__setattr__(self, "_edge_index", {e: i for i, e in enumerate(canon)})
+        self._set_rows(tuple(adj))
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[int]) -> "Graph":
+        """The graph whose vertex u has neighbor mask rows[u].
+
+        The rows must already be symmetric and loop-free; derived-graph
+        builders pass rows that are so by construction, unchecked.
+        """
+        if not rows:
+            raise ValueError("graph order must be a positive int, got 0")
+        G = object.__new__(cls)
+        G._set_rows(tuple(rows))
+        return G
+
+    def _set_rows(self, adj: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", len(adj))
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "full_mask", (1 << len(adj)) - 1)
+        object.__setattr__(self, "_edges", None)
+        object.__setattr__(self, "_edge_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        """Canonical ``(u, v)`` pairs with u < v, in sorted order."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", tuple(
+                (u, u + 1 + i)
+                for u, row in enumerate(self.adj)
+                for i in iter_bits(row >> (u + 1))
+            ))
+        return self._edges
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def vertices(self) -> range:
         return range(self.n)
@@ -69,6 +92,8 @@ class Graph:
         return bool(self.adj[u] >> v & 1) if 0 <= v < self.n else False
 
     def edge_index(self, u: int, v: int) -> int:
+        if self._edge_index is None:
+            object.__setattr__(self, "_edge_index", {e: i for i, e in enumerate(self.edges)})
         e = (u, v) if u < v else (v, u)
         try:
             return self._edge_index[e]
@@ -76,10 +101,10 @@ class Graph:
             raise ValueError(f"{e} is not an edge") from None
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -88,11 +113,6 @@ class Graph:
 # ---------------------------------------------------------------------------
 # neighborhoods
 
-def open_neighborhood(G: Graph, u: int) -> int:
-    """Open neighborhood N(u) as a bitmask (u itself excluded)."""
-    return G.adj[u]
-
-
 def closed_neighborhood(G: Graph, u: int) -> int:
     return G.adj[u] | (1 << u)
 
@@ -100,14 +120,6 @@ def closed_neighborhood(G: Graph, u: int) -> int:
 def complemented_neighborhood(G: Graph, u: int) -> int:
     """V minus N(u); note u itself is a member (never empty)."""
     return G.full_mask & ~G.adj[u]
-
-
-def second_neighborhood(G: Graph, u: int) -> int:
-    """Vertices at distance exactly two from u, by mask composition."""
-    ring = 0
-    for v in iter_bits(G.adj[u]):
-        ring |= G.adj[v]
-    return ring & ~G.adj[u] & ~(1 << u)
 
 
 # ---------------------------------------------------------------------------
@@ -172,29 +184,12 @@ def components(G: Graph) -> List[int]:
     return out
 
 
-def induced_subgraph(G: Graph, mask: int) -> Tuple[Graph, List[int]]:
-    """Subgraph induced on the masked vertices, plus new-index -> old-vertex map."""
-    verts = list(iter_bits(mask))
-    if not verts:
-        raise ValueError("cannot induce on the empty vertex set")
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = [(pos[u], pos[v]) for u, v in G.edges if (mask >> u & 1) and (mask >> v & 1)]
-    return Graph(len(verts), edges), verts
-
-
 # ---------------------------------------------------------------------------
 # structural predicates and invariants
 
 def is_point_determining(G: Graph) -> bool:
     """No two distinct vertices share the same open neighborhood."""
     return len(set(G.adj)) == G.n
-
-
-def edge_in_triangle(G: Graph, edge: Tuple[int, int]) -> bool:
-    u, v = edge
-    if not G.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    return (G.adj[u] & G.adj[v]) != 0
 
 
 def is_regular(G: Graph) -> Optional[int]:
@@ -206,22 +201,19 @@ def is_regular(G: Graph) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # line graph
 
-def edge_adjacency_masks(G: Graph) -> List[int]:
-    """For each edge index i, the mask of edge indices sharing an endpoint."""
-    at_vertex = [0] * G.n
-    for i, (u, v) in enumerate(G.edges):
+def line_graph(G: Graph) -> Graph:
+    """Line graph whose vertex i is the edge G.edges[i]: edges i and j are
+    adjacent when they share an endpoint."""
+    edges = G.edges
+    if not edges:
+        raise ValueError("line graph of an edgeless graph is undefined")
+    at_vertex = [0] * G.n  # edge indices at each vertex
+    for i, (u, v) in enumerate(edges):
         at_vertex[u] |= 1 << i
         at_vertex[v] |= 1 << i
-    return [(at_vertex[u] | at_vertex[v]) & ~(1 << i) for i, (u, v) in enumerate(G.edges)]
-
-
-def line_graph(G: Graph) -> Graph:
-    """Line graph whose vertex i is the edge G.edges[i]."""
-    if not G.edges:
-        raise ValueError("line graph of an edgeless graph is undefined")
-    masks = edge_adjacency_masks(G)
-    edges = [(i, j) for i in range(len(masks)) for j in iter_bits(masks[i]) if i < j]
-    return Graph(len(G.edges), edges)
+    return Graph.from_rows(
+        [(at_vertex[u] | at_vertex[v]) & ~(1 << i) for i, (u, v) in enumerate(edges)]
+    )
 
 
 # ---------------------------------------------------------------------------

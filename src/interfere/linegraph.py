@@ -22,6 +22,7 @@ from .bitset import bit_list
 from .errors import HypothesisViolation
 from .graphs import Graph, components, is_connected, is_regular, line_graph
 from .neighborhood import (
+    _two_path_rows,
     complemented_interference_of,
     neighborhood_complete,
     neighborhood_interference_of,
@@ -141,10 +142,9 @@ def line_complete_report(G: Graph) -> LineCompleteReport:
         raise HypothesisViolation("edge-labeling completeness needs a connected graph")
     L = line_graph(G)
     not_sandwich = _component_kinds(G)[0][0] != "sandwich"
+    # L has diameter <= 2: each vertex's row and T(L) row cover the rest
     diam_ok = all(
-        (L.adj[i] >> j & 1) or (L.adj[i] & L.adj[j])
-        for i in range(L.n)
-        for j in range(i + 1, L.n)
+        row | L.adj[i] | 1 << i == L.full_mask for i, row in enumerate(_two_path_rows(L))
     )
     pendant_ok = True
     for u, v in G.edges:
@@ -158,11 +158,6 @@ def line_complete_report(G: Graph) -> LineCompleteReport:
     }
     verdict = neighborhood_complete(L)
     return LineCompleteReport(verdict, clauses, all(clauses.values()) and not verdict)
-
-
-def line_complete(G: Graph) -> bool:
-    """Edge labeling valid and pairwise-intersecting: neighborhood_complete(L(G))."""
-    return line_complete_report(G).verdict
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,16 @@ interference is taken with respect to G itself.
 Each target-set criterion splits into a per-graph fact and a cheap test per
 target set D.  The open criterion is domination of the two-path graph T(G),
 where u ~ v when N(u) and N(v) meet, i.e. u and v lie at distance two or on
-a common triangle; two_path_graph builds it from those terms, not from the
-labels.  The complemented criterion is point-determinacy plus
+a common triangle; two_path_graph builds its rows from the rows of G, not
+from the labels.  The complemented criterion is point-determinacy plus
 complemented_escapes, a test on the common neighborhood of D.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .bitset import iter_bits, mask_of
+from .bitset import iter_bits
 from .core import SetLabeling
 from .domination import is_dominating
 from .graphs import (
@@ -33,7 +33,6 @@ from .graphs import (
     is_connected,
     is_point_determining,
     is_regular,
-    second_neighborhood,
 )
 
 
@@ -94,6 +93,18 @@ def _has_isolated_vertex(G: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # open-neighborhood criteria
 
+def _two_path_rows(G: Graph) -> List[int]:
+    """Row u of T(G): the vertices other than u with a neighbor in common
+    with u, i.e. the union of N(w) over w in N(u), minus u."""
+    rows = []
+    for u, row in enumerate(G.adj):
+        reach = 0
+        for w in iter_bits(row):
+            reach |= G.adj[w]
+        rows.append(reach & ~(1 << u))
+    return rows
+
+
 def two_path_graph(G: Graph) -> Optional[Graph]:
     """T(G): u ~ v when u and v lie at distance two, or on a common triangle.
 
@@ -104,12 +115,7 @@ def two_path_graph(G: Graph) -> Optional[Graph]:
     """
     if not is_point_determining(G) or _has_isolated_vertex(G):
         return None
-    edges = []
-    for u in G.vertices():
-        triangle = mask_of(v for v in iter_bits(G.adj[u]) if G.adj[u] & G.adj[v])
-        later = (second_neighborhood(G, u) | triangle) >> (u + 1)
-        edges.extend((u, u + 1 + i) for i in iter_bits(later))
-    return Graph(G.n, edges)
+    return Graph.from_rows(_two_path_rows(G))
 
 
 def neighborhood_interference_of(G: Graph, D: int) -> bool:
@@ -162,12 +168,9 @@ def neighborhood_all_but_one(G: Graph, v: int) -> bool:
 
 
 def two_path_complete(G: Graph) -> bool:
-    """Every two distinct vertices joined by a length-two path."""
-    return all(
-        G.adj[u] & G.adj[v]
-        for u in G.vertices()
-        for v in range(u + 1, G.n)
-    )
+    """Every two distinct vertices joined by a length-two path: the rows of
+    T(G) are complete."""
+    return all(row | 1 << u == G.full_mask for u, row in enumerate(_two_path_rows(G)))
 
 
 # ---------------------------------------------------------------------------

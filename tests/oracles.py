@@ -8,6 +8,10 @@ propagation rules on the kernel's bitmask domains, walking every code.
 independence_number is a bitmask branch and bound; the tests check it
 against an exhaustive scan and use it to check the package's vertex-cover
 test.
+random_labeling, induced_subgraph and second_neighborhood are helpers only
+the tests use, so they live here rather than in the package.
+brute_two_path_graph reads T(G) off breadth-first distances, where the
+package unions neighbor rows.
 brute_certificate walks every vertex ordering its refinement allows, which
 the package's certificate search reaches row by row; that refinement,
 reference_refine_colors, compares sorted neighbor-color tuples where the
@@ -17,6 +21,7 @@ interference_index trusts the doubling construction at the upper one.
 """
 
 import itertools
+import random
 
 from interfere import (
     CapExceededError,
@@ -39,6 +44,60 @@ def neighbor_sets(G: Graph):
         nbrs[u].add(v)
         nbrs[v].add(u)
     return [frozenset(s) for s in nbrs]
+
+
+def random_labeling(n: int, m: int, rng: random.Random) -> SetLabeling:
+    """Uniformly chosen valid labeling: n distinct nonempty subsets of {0..m-1}."""
+    if (1 << m) - 1 < n:
+        raise ValueError(f"cannot pick {n} distinct nonempty labels from {m} elements")
+    codes = rng.sample(range(1, 1 << m), n)
+    return SetLabeling(m, tuple(codes))
+
+
+def set_distances(G: Graph, source: int):
+    """Breadth-first distances from source as a dict; unreachable vertices
+    are absent."""
+    nbrs = neighbor_sets(G)
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in nbrs[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def second_neighborhood(G: Graph, u: int):
+    """The set of vertices at distance exactly two from u."""
+    return {v for v, d in set_distances(G, u).items() if d == 2}
+
+
+def induced_subgraph(G: Graph, vertices):
+    """Subgraph induced on a nonempty vertex set, plus the map from new index
+    to old vertex (the vertices in increasing order)."""
+    verts = sorted(vertices)
+    if not verts:
+        raise ValueError("cannot induce on the empty vertex set")
+    pos = {v: i for i, v in enumerate(verts)}
+    edges = [(pos[u], pos[v]) for u, v in G.edges if u in pos and v in pos]
+    return Graph(len(verts), edges), verts
+
+
+def brute_two_path_graph(G: Graph) -> Graph:
+    """The two-path graph from BFS distances: u ~ v when they lie at distance
+    two, or are adjacent with a common neighbor."""
+    nbrs = neighbor_sets(G)
+    edges = [
+        (u, v)
+        for u in range(G.n)
+        for v, d in set_distances(G, u).items()
+        if u < v and (d == 2 or (d == 1 and nbrs[u] & nbrs[v]))
+    ]
+    return Graph(G.n, edges)
 
 
 def reference_refine_colors(G: Graph):

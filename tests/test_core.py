@@ -13,7 +13,6 @@ from interfere import (
     build_complete_interference,
     complete,
     expand_pattern,
-    interference_violation,
     is_complete_interference,
     is_dominating,
     is_interference,
@@ -28,6 +27,7 @@ from oracles import (
     brute_is_complete,
     brute_is_interference,
     brute_is_valid,
+    random_labeling,
 )
 
 
@@ -71,15 +71,16 @@ class TestInterferencePredicate:
 
     def test_violation_report(self):
         lab = SetLabeling(2, [1, 2, 3])
-        v = interference_violation(complete(3), 0b001, lab)
+        v = overlap_violation(complete(3), overlap_graph(complete(3), lab), 0b001)
         assert v is not None
         assert v.vertex == 1
         assert v.as_dict() == {"vertex": 1, "candidates": [0]}
-        assert overlap_violation(complete(3), overlap_graph(complete(3), lab), 0b001) == v
+        assert not is_interference(complete(3), 0b001, lab)
 
     def test_no_violation_returns_none(self):
         lab = SetLabeling(2, [1, 3, 2])
-        assert interference_violation(itf.path(3), mask_of([1]), lab) is None
+        G = itf.path(3)
+        assert overlap_violation(G, overlap_graph(G, lab), mask_of([1])) is None
 
     def test_invalid_labeling_is_rejected(self):
         dup = SetLabeling(2, [1, 1, 2])
@@ -91,7 +92,7 @@ class TestInterferencePredicate:
         rng = random.Random(n)
         for G in itf.all_graphs(n):
             for _ in range(12):
-                lab = itf.random_labeling(n, 3, rng)
+                lab = random_labeling(n, 3, rng)
                 H = overlap_graph(G, lab)
                 for D in range(1, 1 << n):
                     want = brute_is_interference(G, bit_list(D), lab)
@@ -141,7 +142,7 @@ class TestPatterns:
         rng = random.Random(100 + n)
         for G in itf.all_graphs(n)[::2]:
             for _ in range(8):
-                lab = itf.random_labeling(n, 3, rng)
+                lab = random_labeling(n, 3, rng)
                 a = is_pattern_interference(G, Pattern.all_dominating(), lab)
                 b = is_pattern_interference(G, Pattern.all_minimal_dominating(), lab)
                 assert a == b
@@ -166,7 +167,7 @@ class TestCompleteness:
     def test_matches_set_oracle(self, n, m):
         rng = random.Random(n * 8 + m)
         for _ in range(200):
-            lab = itf.random_labeling(n, m, rng)
+            lab = random_labeling(n, m, rng)
             assert is_complete_interference(lab) == brute_is_complete(lab)
 
     @pytest.mark.parametrize("n", range(1, 65))

@@ -1,4 +1,5 @@
-"""Property tests: graph formats and the overlap-graph interference predicate.
+"""Property tests: graph storage and formats, the two-path graph, and the
+overlap-graph interference predicate.
 
 Graphs of order 9-12 lie past the exhaustive catalogs that the other core
 and graph tests sweep.
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interfere as itf
-from interfere import is_dominating, overlap_graph
+from interfere import is_dominating, neighborhood_labeling, overlap_graph, two_path_graph
 
-from oracles import brute_is_interference
+from oracles import brute_is_interference, brute_two_path_graph
 
 
 @st.composite
@@ -37,6 +38,34 @@ def labeled_graphs(draw):
 def test_graph6_and_edge_list_round_trips(G):
     assert itf.from_graph6(itf.to_graph6(G)) == G
     assert itf.from_edge_list(itf.to_edge_list_text(G)) == G
+
+
+@settings(derandomize=True, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_rows_and_edges_give_the_same_graph(G, rng):
+    """A graph built from its own rows, or from its edges in any order and
+    orientation, has the same edges in the same order, edge indices, hash
+    and fingerprint."""
+    shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in G.edges]
+    rng.shuffle(shuffled)
+    for H in (itf.Graph.from_rows(G.adj), itf.Graph(G.n, shuffled)):
+        assert H == G
+        assert H.adj == G.adj
+        assert H.edges == G.edges
+        assert H.m == G.m == len(G.edges)
+        assert all(H.edge_index(u, v) == G.edge_index(v, u) == k
+                   for k, (u, v) in enumerate(G.edges))
+        assert hash(H) == hash(G)
+        assert itf.fingerprint(H) == itf.fingerprint(G)
+
+
+@settings(derandomize=True, deadline=None)
+@given(graphs())
+def test_two_path_graph_matches_distance_oracle(G):
+    T = two_path_graph(G)
+    assert (T is None) == (not neighborhood_labeling(G).valid)
+    if T is not None:
+        assert T == brute_two_path_graph(G)
 
 
 @settings(derandomize=True, deadline=None)

@@ -18,15 +18,17 @@ from interfere import (
     cycle,
     diameter,
     from_graph6,
-    mask_of,
-    open_neighborhood,
     path,
-    second_neighborhood,
     to_graph6,
     wheel,
 )
 
-from oracles import independence_number, neighbor_sets
+from oracles import (
+    independence_number,
+    induced_subgraph,
+    neighbor_sets,
+    second_neighborhood,
+)
 
 
 def to_nx(G: Graph) -> nx.Graph:
@@ -47,8 +49,12 @@ class TestConstruction:
             Graph(3, [(1, 1)])
 
     def test_rejects_duplicate_edge(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
             Graph(3, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            Graph(2, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+            Graph(3, [(2, 1), (0, 1), (2, 1)])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -72,7 +78,7 @@ class TestNeighborhoods:
         for G in itf.all_graphs(n):
             nbrs = neighbor_sets(G)
             for u in G.vertices():
-                assert set(bit_list(open_neighborhood(G, u))) == set(nbrs[u])
+                assert set(bit_list(G.adj[u])) == set(nbrs[u])
                 assert set(bit_list(closed_neighborhood(G, u))) == set(nbrs[u]) | {u}
                 assert set(bit_list(complemented_neighborhood(G, u))) == (
                     set(range(n)) - set(nbrs[u])
@@ -90,7 +96,7 @@ class TestNeighborhoods:
             for u in G.vertices():
                 lengths = nx.single_source_shortest_path_length(H, u)
                 want = {v for v, d in lengths.items() if d == 2}
-                assert set(bit_list(second_neighborhood(G, u))) == want
+                assert second_neighborhood(G, u) == want
 
 
 class TestMetrics:
@@ -122,7 +128,7 @@ class TestMetrics:
 
     def test_induced_subgraph(self):
         G = wheel(4)
-        H, mapping = itf.induced_subgraph(G, mask_of([0, 1, 4]))
+        H, mapping = induced_subgraph(G, {0, 1, 4})
         assert H.n == 3
         assert H.m == 3  # rim edge 0-1 plus both spokes
         assert sorted(mapping) == [0, 1, 4]
@@ -149,15 +155,6 @@ class TestMetrics:
     def test_regularity(self):
         assert itf.is_regular(cycle(6)) == 2
         assert itf.is_regular(path(3)) is None
-
-    def test_edge_in_triangle(self):
-        G = itf.star_polygon(3)
-        for u, v in G.edges:
-            assert itf.edge_in_triangle(G, (u, v)) == (
-                bool(open_neighborhood(G, u) & open_neighborhood(G, v))
-            )
-        with pytest.raises(ValueError):
-            itf.edge_in_triangle(G, (0, 0))
 
 
 def complete_bipartite_22():
@@ -186,12 +183,9 @@ class TestLineGraph:
             itf.line_graph(Graph(3, []))
 
     def test_edge_adjacency_masks(self):
-        G = path(4)
-        masks = itf.edge_adjacency_masks(G)
+        L = itf.line_graph(path(4))
         # consecutive path edges meet, the outer two do not
-        assert masks[0] == 0b010
-        assert masks[1] == 0b101
-        assert masks[2] == 0b010
+        assert L.adj == (0b010, 0b101, 0b010)
 
 
 class TestGraph6:

@@ -13,7 +13,6 @@ from interfere import (
     cycle,
     is_complete_interference,
     is_interference,
-    line_complete,
     line_complete_report,
     line_graph,
     line_injective,
@@ -126,12 +125,12 @@ class TestInterferenceOf:
 
 class TestCompleteness:
     def test_anchors(self):
-        assert line_complete(complete(5))
-        assert line_complete(itf.wheel(5))
-        assert line_complete(itf.complete_bipartite(3, 3))
-        assert not line_complete(path(5))
-        assert not line_complete(complete(4))
-        assert not line_complete(itf.windmill(3, 2))
+        assert line_complete_report(complete(5)).verdict
+        assert line_complete_report(itf.wheel(5)).verdict
+        assert line_complete_report(itf.complete_bipartite(3, 3)).verdict
+        assert not line_complete_report(path(5)).verdict
+        assert not line_complete_report(complete(4)).verdict
+        assert not line_complete_report(itf.windmill(3, 2)).verdict
 
     def test_clause_inventory(self):
         rep = line_complete_report(complete(4))
@@ -152,7 +151,7 @@ class TestCompleteness:
         for G in itf.connected_graphs(n):
             L, rep = line_oracle_labeling(G)
             want = rep.valid and is_complete_interference(rep.labeling)
-            assert line_complete(G) == want, itf.to_graph6(G)
+            assert line_complete_report(G).verdict == want, itf.to_graph6(G)
 
     def test_necessary_clauses_never_reject_a_true_verdict(self):
         for G in itf.connected_graphs_upto(6):

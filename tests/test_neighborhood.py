@@ -33,7 +33,14 @@ from interfere import (
     wheel,
 )
 
-from oracles import brute_is_interference, brute_minimal_dominating_sets, neighbor_sets
+from oracles import (
+    brute_is_interference,
+    brute_minimal_dominating_sets,
+    brute_two_path_graph,
+    induced_subgraph,
+    neighbor_sets,
+    second_neighborhood,
+)
 
 
 def oracle_interferes(G, D, labeling_report):
@@ -104,21 +111,26 @@ class TestOpenRouteEquivalence:
         for G in itf.connected_graphs_upto(6):
             if not itf.is_point_determining(G) or 0 in G.adj:
                 continue
+            nbrs = neighbor_sets(G)
             in_triangle = []  # per u: the neighbors non-isolated in G[N(u)]
             for u in G.vertices():
-                sub, verts = itf.induced_subgraph(G, G.adj[u])
-                in_triangle.append(mask_of(v for i, v in enumerate(verts) if sub.adj[i]))
+                sub, verts = induced_subgraph(G, nbrs[u])
+                in_triangle.append({v for i, v in enumerate(verts) if sub.adj[i]})
+            ring = [second_neighborhood(G, u) for u in G.vertices()]
             for D in range(1, 1 << G.n):
+                members = set(itf.bit_list(D))
                 want = all(
-                    itf.second_neighborhood(G, u) & D or in_triangle[u] & D
-                    for u in itf.iter_bits(G.full_mask & ~D)
+                    ring[u] & members or in_triangle[u] & members
+                    for u in G.vertices()
+                    if u not in members
                 )
                 assert neighborhood_interference_of(G, D) == want, (itf.to_graph6(G), bin(D))
 
 
 class TestTwoPathGraph:
-    """The open criterion as a graph identity: T(G), built from distance-two
-    and triangle terms, is the overlap graph of u -> N(u) in K_n."""
+    """The open criterion as a graph identity: T(G), built from the rows of G,
+    is the overlap graph of u -> N(u) in K_n, and is the distance-two-or-
+    triangle graph read off BFS distances."""
 
     def test_is_the_overlap_graph_of_the_open_labeling(self):
         graphs = [G for n in range(1, 8) for G in itf.all_graphs(n)]
@@ -131,6 +143,7 @@ class TestTwoPathGraph:
             if T is not None:
                 built += 1
                 assert T == itf.overlap_graph(complete(G.n), rep.labeling), itf.to_graph6(G)
+                assert T == brute_two_path_graph(G), itf.to_graph6(G)
         assert built == 606
 
     def test_anchors(self):

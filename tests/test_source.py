@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,51 @@ def test_stdlib_only_imports():
             ]
     if found:
         pytest.fail(f"imports outside the standard library: {', '.join(found)}")
+
+
+# Public functions that no package module calls: each is part of the API the
+# README's module table documents (BFS metrics, the catalog by order, the
+# existence search at one m, the edge-labeling injectivity and singleton
+# verdicts).
+ENTRY_POINTS = (
+    "catalog.graphs_upto",
+    "graphs.distance",
+    "index_search.exists_interference",
+    "linegraph.line_injective",
+    "linegraph.line_singleton",
+)
+
+
+def _names_used(node):
+    """Names read (as a variable or an attribute) anywhere under node."""
+    return [
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load))
+        or isinstance(sub, ast.Attribute)
+    ]
+
+
+def test_every_function_has_a_caller():
+    """Every top-level function is read by package code outside its own body
+    (re-exports in __init__.py do not count), or is a listed entry point.
+    Helpers that only tests use belong in tests/oracles.py."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    used = Counter(name for tree in trees.values() for name in _names_used(tree))
+    defined, found = set(), []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = f"{module}.{node.name}"
+            defined.add(name)
+            own = _names_used(node).count(node.name)  # recursion is not a caller
+            if used[node.name] == own and name not in ENTRY_POINTS:
+                found.append(name)
+    found += [f"{name} (listed, not defined)" for name in ENTRY_POINTS if name not in defined]
+    if found:
+        pytest.fail(f"functions no package module uses: {', '.join(found)}")
