@@ -67,6 +67,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the rows; the default slot restore
+        # would go through __setattr__ and fail
+        return (Graph.from_rows, (self.adj,))
+
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         """Canonical ``(u, v)`` pairs with u < v, in sorted order."""
@@ -226,7 +231,7 @@ def from_edge_list(text: str) -> Graph:
     self-loops, duplicate edges, out-of-range endpoints or malformed lines.
     """
     n = None
-    edges = []
+    edges = set()  # rows do not depend on the order edges come in
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -255,7 +260,7 @@ def from_edge_list(text: str) -> Graph:
         e = (u, v) if u < v else (v, u)
         if e in edges:
             raise GraphFormatError(f"line {lineno}: duplicate edge {e}")
-        edges.append(e)
+        edges.add(e)
     if n is None:
         raise GraphFormatError("empty edge-list input")
     return Graph(n, edges)

@@ -445,6 +445,40 @@ class TestSweep:
         assert code == OK
         assert obj["mismatch_count"] > 0 and obj["ok"] is False
 
+    # point-determining graphs of order 6 and 7, and the wheel on 7 vertices;
+    # 400 draws from 63 or 127 sets repeat most of them
+    SAMPLED = ["ELtw", "EhNW", "FJn^W", "FhENw"]
+
+    @pytest.mark.parametrize("wrong", [False, True], ids=["real", "wrong-complemented"])
+    def test_sampled_orders_count_every_draw(self, monkeypatch, tmp_path, wrong):
+        from interfere import cli
+
+        real = cli.complemented_escapes
+        escapes = WRONG_CRITERIA["complemented_escapes"](real) if wrong else real
+        monkeypatch.setattr(cli, "complemented_escapes", escapes)
+        p = tmp_path / "graphs.g6"
+        p.write_text("\n".join(self.SAMPLED) + "\n")
+        seed, samples = 11, 400
+        code, obj = run_cli_json(["sweep", "--suite", "nbd-oracle", "--graphs-file", str(p),
+                                  "--seed", str(seed), "--samples", str(samples)])
+        assert code == OK
+        assert obj["check_count"] == len(self.SAMPLED) * (2 + 2 * samples)
+        # draws on which the criterion in use disagrees with the real one,
+        # every repeat counted
+        expected = distinct = 0
+        for g6 in self.SAMPLED:
+            G = itf.from_graph6(g6)
+            draws = cli._target_sets(G, seed, samples)
+            assert len(set(draws)) < len(draws)
+            if itf.is_point_determining(G):
+                bad = [D for D in draws if escapes(G, D) != real(G, D)]
+                expected += len(bad)
+                distinct += len(set(bad))
+        assert obj["mismatch_count"] == expected
+        assert obj["ok"] is (expected == 0)
+        if wrong:
+            assert expected > distinct > 0
+
 
 class TestUnreadableInput:
     @pytest.mark.parametrize("argv", [

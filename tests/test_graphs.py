@@ -1,6 +1,8 @@
 """Graph container, neighborhoods, metrics, and graph6 codec."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import networkx as nx
@@ -70,6 +72,17 @@ class TestConstruction:
         G = wheel(5)
         for k, (u, v) in enumerate(G.edges):
             assert G.edge_index(u, v) == G.edge_index(v, u) == k
+
+    def test_pickle_and_copy_round_trip(self):
+        cached = wheel(5)
+        cached.edge_index(0, 1)  # fills the edges and edge-index caches
+        graphs = [G for n in range(1, 6) for G in itf.all_graphs(n)]
+        for G in graphs + [complete(1), cached]:
+            for H in (pickle.loads(pickle.dumps(G)), copy.copy(G), copy.deepcopy(G)):
+                assert type(H) is Graph and H == G and hash(H) == hash(G)
+                assert H.adj == G.adj and H.edges == G.edges
+                for k, (u, v) in enumerate(G.edges):
+                    assert H.edge_index(u, v) == H.edge_index(v, u) == k
 
 
 class TestNeighborhoods:
@@ -230,6 +243,11 @@ class TestEdgeListsAndFingerprint:
         G = itf.helm(4)
         text = itf.to_edge_list_text(G)
         assert itf.from_edge_list(text) == G
+
+    def test_edge_list_rejects_a_reversed_duplicate(self):
+        text = "3\n0 1\n# a comment line\n1 2\n1 0\n"
+        with pytest.raises(GraphFormatError, match=r"^line 5: duplicate edge \(0, 1\)$"):
+            itf.from_edge_list(text)
 
     def test_fingerprint_shape(self):
         fp = itf.fingerprint(wheel(5))
