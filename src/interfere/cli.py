@@ -468,10 +468,10 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
         two_path = two_path_graph(G)
         comp_valid = is_point_determining(G)
 
-        for D, kind, thm, orc in (
-            (None, "open_complete", neighborhood_complete(G),
+        for kind, thm, orc in (
+            ("open_complete", neighborhood_complete(G),
              nrep.valid and is_complete_interference(nrep.labeling)),
-            (None, "complemented_complete", complemented_complete(G),
+            ("complemented_complete", complemented_complete(G),
              crep.valid and is_complete_interference(crep.labeling)),
         ):
             checks += 1

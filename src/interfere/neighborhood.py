@@ -14,8 +14,10 @@ Each target-set criterion splits into a per-graph fact and a cheap test per
 target set D.  The open criterion is domination of the two-path graph T(G),
 where u ~ v when N(u) and N(v) meet, i.e. u and v lie at distance two or on
 a common triangle; two_path_graph builds its rows from the rows of G, not
-from the labels.  The complemented criterion is point-determinacy plus
-complemented_escapes, a test on the common neighborhood of D.
+from the labels.  The singleton and all-but-one criteria, completeness and
+the distance-two sufficient rule read the same rows.  The complemented
+criterion is point-determinacy plus complemented_escapes, a test on the
+common neighborhood of D.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from .core import SetLabeling
 from .domination import is_dominating
 from .graphs import (
     Graph,
-    bfs_distances,
     closed_neighborhood,
     complemented_neighborhood,
     is_connected,
@@ -86,23 +87,26 @@ def closed_labeling(G: Graph) -> LabelingReport:
     return _report(G, tuple(closed_neighborhood(G, u) for u in G.vertices()))
 
 
-def _has_isolated_vertex(G: Graph) -> bool:
-    return any(mask == 0 for mask in G.adj)
-
-
 # ---------------------------------------------------------------------------
 # open-neighborhood criteria
 
-def _two_path_rows(G: Graph) -> List[int]:
+def _open_valid(G: Graph) -> bool:
+    """u -> N(u) is a valid labeling: G is point-determining with no
+    isolated vertex."""
+    return is_point_determining(G) and all(G.adj)
+
+
+def _two_path_row(G: Graph, u: int) -> int:
     """Row u of T(G): the vertices other than u with a neighbor in common
     with u, i.e. the union of N(w) over w in N(u), minus u."""
-    rows = []
-    for u, row in enumerate(G.adj):
-        reach = 0
-        for w in iter_bits(row):
-            reach |= G.adj[w]
-        rows.append(reach & ~(1 << u))
-    return rows
+    reach = 0
+    for w in iter_bits(G.adj[u]):
+        reach |= G.adj[w]
+    return reach & ~(1 << u)
+
+
+def _two_path_rows(G: Graph) -> List[int]:
+    return [_two_path_row(G, u) for u in G.vertices()]
 
 
 def two_path_graph(G: Graph) -> Optional[Graph]:
@@ -113,7 +117,7 @@ def two_path_graph(G: Graph) -> Optional[Graph]:
     u -> N(u) is not a valid labeling: G is not point-determining, or has an
     isolated vertex.
     """
-    if not is_point_determining(G) or _has_isolated_vertex(G):
+    if not _open_valid(G):
         return None
     return Graph.from_rows(_two_path_rows(G))
 
@@ -133,44 +137,37 @@ def neighborhood_interference_of(G: Graph, D: int) -> bool:
 
 
 def neighborhood_complete(G: Graph) -> bool:
-    """u -> N(u) pairwise-intersecting and valid: point-determining graph of
-    order >= 2 with diameter <= 2 whose every edge lies in a triangle, that
-    is, every two vertices have a common neighbor (two_path_complete)."""
-    return G.n >= 2 and is_point_determining(G) and two_path_complete(G)
+    """u -> N(u) pairwise-intersecting and valid: point-determining graph
+    without isolated vertices (so of order >= 2) with diameter <= 2 whose
+    every edge lies in a triangle, that is, every two vertices have a common
+    neighbor (two_path_complete)."""
+    return _open_valid(G) and two_path_complete(G)
 
 
 def neighborhood_singleton(G: Graph, v: int) -> bool:
     """Interference of the single vertex {v}: everything within distance two
-    of v and every edge at v on a triangle, i.e. no isolated vertex inside
-    the induced neighborhood of v."""
+    of v and every edge at v on a triangle, i.e. row v of T(G) is complete."""
     if not 0 <= v < G.n:
         raise ValueError(f"vertex {v} out of range")
-    if G.n < 2 or not is_point_determining(G):
-        return False
-    if any(d > 2 for d in bfs_distances(G, v)):
-        return False
-    if G.adj[v] == 0:
-        return False
-    return all(G.adj[w] & G.adj[v] for w in iter_bits(G.adj[v]))
+    return _open_valid(G) and _two_path_row(G, v) | 1 << v == G.full_mask
 
 
 def neighborhood_all_but_one(G: Graph, v: int) -> bool:
-    """Interference of V minus {v}: v must touch a vertex of degree >= 2."""
+    """Interference of V minus {v}: v must touch a vertex of degree >= 2,
+    i.e. row v of T(G) is nonempty."""
     if not 0 <= v < G.n:
         raise ValueError(f"vertex {v} out of range")
     if not is_connected(G):
         raise ValueError("all-but-one criterion needs a connected graph")
     if G.n < 2:
         raise ValueError("all-but-one target set is empty for n=1")
-    if not is_point_determining(G) or _has_isolated_vertex(G):
-        return False
-    return any(G.degree(w) >= 2 for w in iter_bits(G.adj[v]))
+    return _open_valid(G) and _two_path_row(G, v) != 0
 
 
 def two_path_complete(G: Graph) -> bool:
     """Every two distinct vertices joined by a length-two path: the rows of
     T(G) are complete."""
-    return all(row | 1 << u == G.full_mask for u, row in enumerate(_two_path_rows(G)))
+    return all(_two_path_row(G, u) | 1 << u == G.full_mask for u in G.vertices())
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +224,11 @@ def complemented_sufficient_rule(G: Graph) -> Optional[str]:
     if k is not None and n > 2 * k:
         return REGULAR_RULE
     degs = [G.degree(v) for v in G.vertices()]
-    if all(degs[u] + degs[v] < n for u in range(n) for v in range(u + 1, n)):
+    if sum(sorted(degs)[-2:]) < n:  # the two largest degrees
         return DEGREE_SUM_RULE
-    dist2_ok = True
-    for u in range(n):
-        du = bfs_distances(G, u)
-        for v in range(u + 1, n):
-            s = degs[u] + degs[v]
-            if du[v] == 2:
-                if s > n:
-                    dist2_ok = False
-            elif s >= n:
-                dist2_ok = False
-    if dist2_ok:
+    # distance-two pairs: rows of T(G) minus the rows of G
+    far = [row & ~G.adj[u] for u, row in enumerate(_two_path_rows(G))]
+    if all(degs[u] + degs[v] < n + (far[u] >> v & 1)
+           for u in range(n) for v in range(u + 1, n)):
         return DISTANCE2_RULE
     return None

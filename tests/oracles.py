@@ -11,7 +11,8 @@ test.
 random_labeling, induced_subgraph and second_neighborhood are helpers only
 the tests use, so they live here rather than in the package.
 brute_two_path_graph reads T(G) off breadth-first distances, where the
-package unions neighbor rows.
+package unions neighbor rows; brute_sufficient_rule reads its distance-two
+pairs the same way.
 brute_certificate walks every vertex ordering its refinement allows, which
 the package's certificate search reaches row by row; that refinement,
 reference_refine_colors, compares sorted neighbor-color tuples where the
@@ -24,6 +25,9 @@ import itertools
 import random
 
 from interfere import (
+    DEGREE_SUM_RULE,
+    DISTANCE2_RULE,
+    REGULAR_RULE,
     CapExceededError,
     Graph,
     SetLabeling,
@@ -98,6 +102,29 @@ def brute_two_path_graph(G: Graph) -> Graph:
         if u < v and (d == 2 or (d == 1 and nbrs[u] & nbrs[v]))
     ]
     return Graph(G.n, edges)
+
+
+def brute_sufficient_rule(G: Graph):
+    """complemented_sufficient_rule from neighbor sets and BFS distances: the
+    first of the regular, degree-sum and distance-two rules that holds, or
+    None, and always None on a graph with two equal neighborhoods."""
+    nbrs = neighbor_sets(G)
+    if len(set(nbrs)) < G.n:
+        return None
+    n = G.n
+    degs = [len(s) for s in nbrs]
+    pairs = list(itertools.combinations(range(n), 2))
+    if len(set(degs)) == 1 and n > 2 * degs[0]:
+        return REGULAR_RULE
+    if all(degs[u] + degs[v] < n for u, v in pairs):
+        return DEGREE_SUM_RULE
+    dist = [set_distances(G, u) for u in range(n)]
+    if all(
+        degs[u] + degs[v] <= n if dist[u].get(v) == 2 else degs[u] + degs[v] < n
+        for u, v in pairs
+    ):
+        return DISTANCE2_RULE
+    return None
 
 
 def reference_refine_colors(G: Graph):

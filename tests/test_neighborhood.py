@@ -6,6 +6,7 @@ play so neither can drift.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -36,6 +37,7 @@ from interfere import (
 from oracles import (
     brute_is_interference,
     brute_minimal_dominating_sets,
+    brute_sufficient_rule,
     brute_two_path_graph,
     induced_subgraph,
     neighbor_sets,
@@ -201,23 +203,26 @@ class TestTargetFamilies:
 
 class TestSingletonAndAllButOne:
     def test_singleton_against_oracle(self):
-        for G in itf.connected_graphs_upto(5):
-            if G.n < 2:
-                continue
+        # every graph up to order 7, K1 and disconnected graphs included
+        for G in itf.graphs_upto(7):
             rep = neighborhood_labeling(G)
             for v in G.vertices():
                 assert neighborhood_singleton(G, v) == oracle_interferes(
                     G, 1 << v, rep
-                )
+                ), (itf.to_graph6(G), v)
 
     def test_all_but_one_against_oracle(self):
-        for G in itf.connected_graphs_upto(5):
-            if G.n < 2:
-                continue
+        for G in itf.graphs_upto(7):
             rep = neighborhood_labeling(G)
             for v in G.vertices():
+                if G.n < 2 or not itf.is_connected(G):
+                    with pytest.raises(ValueError):
+                        neighborhood_all_but_one(G, v)
+                    continue
                 D = G.full_mask & ~(1 << v)
-                assert neighborhood_all_but_one(G, v) == oracle_interferes(G, D, rep)
+                assert neighborhood_all_but_one(G, v) == oracle_interferes(
+                    G, D, rep
+                ), (itf.to_graph6(G), v)
 
     def test_wheel_four_center_fails_despite_rich_neighborhood(self):
         # the center's neighborhood induces a cycle, yet the labeling itself
@@ -350,6 +355,18 @@ class TestSufficientRules:
         assert itf.complemented_sufficient_rule(path(5)) == itf.DEGREE_SUM_RULE
         anchor = itf.from_graph6("G?Ca|W")  # two degree-4 hubs at distance two
         assert itf.complemented_sufficient_rule(anchor) == itf.DISTANCE2_RULE
+
+    def test_matches_brute_rule_through_order_8(self):
+        """The rule that fires is the brute-force one on every graph up to
+        order 8; the distance-two rule first fires at order 8."""
+        fired = Counter()
+        for n in range(1, 9):
+            for G in itf.all_graphs(n):
+                rule = itf.complemented_sufficient_rule(G)
+                assert rule == brute_sufficient_rule(G), itf.to_graph6(G)
+                fired[n, rule] += 1
+        assert fired[8, itf.DISTANCE2_RULE] == 74
+        assert not any(fired[n, itf.DISTANCE2_RULE] for n in range(1, 8))
 
     def test_rules_guard_injectivity(self):
         square_plus_isolated = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
