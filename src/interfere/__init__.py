@@ -10,7 +10,7 @@ against brute-force definitional oracles over exhaustive small-graph
 catalogs.
 """
 
-from .bitset import bit_list, iter_bits, mask_of
+from .bitset import bit_list, check_set, iter_bits, mask_of
 from .catalog import (
     MAX_CATALOG_N,
     all_graphs,
@@ -76,7 +76,6 @@ from .graphs import (
     complemented_neighborhood,
     components,
     diameter,
-    distance,
     fingerprint,
     from_edge_list,
     from_graph6,
@@ -111,10 +110,7 @@ from .linegraph import (
     line_complemented_regular_rule,
     line_complemented_size_rule,
     line_complete_report,
-    line_injective,
     line_injectivity_report,
-    line_interference_of,
-    line_singleton,
 )
 from .neighborhood import (
     DEGREE_SUM_RULE,

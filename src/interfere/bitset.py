@@ -25,3 +25,11 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def bit_list(mask: int) -> List[int]:
     return list(iter_bits(mask))
+
+
+def check_set(mask: int, size: int, name: str = "D") -> None:
+    """Raise ValueError unless mask is a nonempty set inside {0..size-1}."""
+    if mask == 0:
+        raise ValueError(f"{name} must be nonempty")
+    if mask >> size:
+        raise ValueError(f"{name} has vertices outside the graph")

@@ -2,8 +2,9 @@
 
 Every subcommand prints one JSON document to standard output, except `gen`
 (raw graph6 or edge-list text) and `domsets` (a bare JSON array).  Exit
-codes: 0 when a verdict was computed (even a negative one), 2 on usage
-errors, 3 when a search budget or enumeration cap was exceeded, 4 on
+codes: 0 when a verdict was computed (even a negative one), 1 when stdout
+closed before the output was written (no report could be written), 2 on
+usage errors, 3 when a search budget or enumeration cap was exceeded, 4 on
 malformed input.  Reports carry "schema": "2" and a "timing" field in
 seconds; apart from the timing, output is byte-identical for identical
 arguments and seed.
@@ -75,7 +76,6 @@ from .linegraph import (
     line_complemented_size_rule,
     line_complete_report,
     line_injectivity_report,
-    line_interference_of,
 )
 from .neighborhood import (
     closed_labeling,
@@ -96,6 +96,7 @@ from .neighborhood import (
 SCHEMA = "2"
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_FORMAT = 4
@@ -174,9 +175,7 @@ def bipartition(G: Graph) -> Tuple[int, int]:
 def resolve_pattern(name: str, G: Graph) -> Pattern:
     if name == "singletons":
         return Pattern.singletons()
-    if name == "min-dominating":
-        return Pattern.all_minimal_dominating()
-    if name == "all-dominating":
+    if name in ("min-dominating", "all-dominating"):  # the same family, see expand_pattern
         return Pattern.all_dominating()
     if name == "cross-pairs":
         U, W = bipartition(G)
@@ -395,7 +394,7 @@ def cmd_linegraph(args) -> dict:
     elif args.check == "interference":
         if D is None:
             raise ValueError("--check interference needs --edge-set")
-        report["verdict"] = line_interference_of(G, D)
+        report["verdict"] = neighborhood_interference_of(line_graph(G), D)
     elif args.check == "complete":
         rep = line_complete_report(G)
         report.update(
@@ -575,6 +574,10 @@ class _Parser(argparse.ArgumentParser):
         print(f"usage error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def print_help(self, file=None):
+        # argparse drops a failed write; let a closed stdout reach main
+        (file or sys.stdout).write(self.format_help())
+
 
 @lru_cache(maxsize=None)  # built by the first main call, then reused
 def _build_parser() -> _Parser:
@@ -659,6 +662,18 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a reader that closed early shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # no report can be written; pointing stdout at devnull keeps the
+        # flush at exit silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .bitset import bit_list, iter_bits, mask_of
+from .bitset import bit_list, check_set, iter_bits, mask_of
 from .errors import GraphFormatError
 from .domination import is_dominating, minimal_dominating_sets
 from .graphs import Graph
@@ -32,9 +32,6 @@ class SetLabeling:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def label(self, v: int) -> int:
-        return self.labels[v]
 
     def as_sets(self) -> List[List[int]]:
         return [bit_list(lab) for lab in self.labels]
@@ -102,10 +99,7 @@ def overlap_graph(G: Graph, f: SetLabeling) -> Graph:
 
 def overlap_violation(G: Graph, H: Graph, D: int) -> Optional[Violation]:
     """First vertex (ascending) outside D with no neighbor in D in H = overlap_graph(G, f)."""
-    if D == 0:
-        raise ValueError("D must be nonempty")
-    if D >> G.n:
-        raise ValueError("D has vertices outside the graph")
+    check_set(D, G.n)
     for u in iter_bits(G.full_mask & ~D):
         if H.adj[u] & D == 0:
             return Violation(u, G.adj[u] & D)
@@ -130,7 +124,6 @@ class Pattern:
     EXPLICIT = "explicit"
     SINGLETONS = "singletons"
     ALL_DOMINATING = "all_dominating"
-    ALL_MINIMAL_DOMINATING = "all_minimal_dominating"
     CROSS_PAIRS = "cross_pairs"
 
     @classmethod
@@ -147,10 +140,6 @@ class Pattern:
     @classmethod
     def all_dominating(cls) -> "Pattern":
         return cls(cls.ALL_DOMINATING)
-
-    @classmethod
-    def all_minimal_dominating(cls) -> "Pattern":
-        return cls(cls.ALL_MINIMAL_DOMINATING)
 
     @classmethod
     def cross_pairs(cls, side_u: int, side_w: int) -> "Pattern":
@@ -172,7 +161,7 @@ def expand_pattern(G: Graph, P: Pattern) -> Tuple[int, ...]:
         return P.sets
     if P.kind == Pattern.SINGLETONS:
         return tuple(1 << v for v in G.vertices())
-    if P.kind in (Pattern.ALL_MINIMAL_DOMINATING, Pattern.ALL_DOMINATING):
+    if P.kind == Pattern.ALL_DOMINATING:
         return minimal_dominating_sets(G)
     if P.kind == Pattern.CROSS_PAIRS:
         side_u, side_w = P.parts

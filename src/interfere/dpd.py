@@ -8,7 +8,7 @@ graph on V.
 """
 from __future__ import annotations
 
-from .bitset import iter_bits, mask_of
+from .bitset import check_set, iter_bits, mask_of
 from .core import SetLabeling, is_interference, is_valid_labeling
 from .families import complete
 from .graphs import Graph, bfs_distances, diameter, is_connected
@@ -19,10 +19,7 @@ def distance_pattern(G: Graph, M: int) -> SetLabeling:
 
     Needs a connected graph; the labels are pairwise distinct iff M is a DPD set.
     """
-    if M == 0:
-        raise ValueError("marker set must be nonempty")
-    if M >> G.n:
-        raise ValueError("marker set has vertices outside the graph")
+    check_set(M, G.n, "marker set")
     if not is_connected(G):
         raise ValueError("distance patterns need a connected graph")
     patterns = [0] * G.n

@@ -152,10 +152,6 @@ def bfs_distances(G: Graph, source: int) -> List[Distance]:
     return dist
 
 
-def distance(G: Graph, u: int, v: int) -> Distance:
-    return bfs_distances(G, u)[v]
-
-
 def diameter(G: Graph) -> Distance:
     best: Distance = 0
     for u in G.vertices():

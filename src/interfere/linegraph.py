@@ -4,11 +4,13 @@ Edges get labeled by their neighboring edges (or the complement thereof),
 and the interference condition is with respect to the complete graph on the
 edge set.  That is the neighborhood question asked of the line graph: edge i
 is vertex i of L(G), and its label is N_{L(G)}(i) or its complement.  So
-every per-set and completeness verdict here is the matching neighborhood
-criterion evaluated on line_graph(G).  What this module adds are the
+the per-set verdicts are the neighborhood criteria called on line_graph(G),
+e.g. neighborhood_interference_of(line_graph(G), D) or
+neighborhood_singleton(line_graph(G), e), and this module holds only the
 statements about G itself: the K2/sandwich description of injectivity, the
-necessary completeness clauses, and the independence and regular rules for
-the complemented labeling.
+necessary completeness clauses, the complemented labeling under its
+hypotheses (connected, order >= 5) with the size, independence and regular
+rules.
 
 Edge sets are int bitmasks over canonical edge indices (Graph.edges order).
 """
@@ -21,13 +23,7 @@ from typing import Iterable, List, Tuple
 from .bitset import bit_list
 from .errors import HypothesisViolation
 from .graphs import Graph, components, is_connected, is_regular, line_graph
-from .neighborhood import (
-    _two_path_rows,
-    complemented_interference_of,
-    neighborhood_complete,
-    neighborhood_interference_of,
-    neighborhood_singleton,
-)
+from .neighborhood import _two_path_rows, complemented_interference_of, neighborhood_complete
 
 
 def edge_mask(G: Graph, pairs: Iterable[Tuple[int, int]]) -> int:
@@ -90,36 +86,6 @@ def line_injectivity_report(G: Graph) -> InjectivityReport:
     )
 
 
-def line_injective(G: Graph) -> bool:
-    return line_injectivity_report(G).injective
-
-
-def line_interference_of(G: Graph, D: int) -> bool:
-    """Whether the edge labeling interferes for the edge set D: D dominates
-    T(L(G)), as neighborhood_interference_of decides on the line graph.
-
-    The labeling is valid exactly when no component is a single edge (an
-    empty label) and line_injective(G) holds.
-    """
-    if not G.edges:
-        raise ValueError("the edge labeling of an edgeless graph is undefined")
-    if D == 0:
-        raise ValueError("D must be nonempty")
-    if D >> len(G.edges):
-        raise ValueError("D has edge indices outside the graph")
-    return neighborhood_interference_of(line_graph(G), D)
-
-
-def line_singleton(G: Graph, edge: int) -> bool:
-    """Interference of the single edge {edge} (an edge index), decided by
-    neighborhood_singleton on the line graph."""
-    if not G.edges:
-        raise ValueError("the edge labeling of an edgeless graph is undefined")
-    if not 0 <= edge < len(G.edges):
-        raise ValueError(f"edge index {edge} out of range")
-    return neighborhood_singleton(line_graph(G), edge)
-
-
 @dataclass(frozen=True)
 class LineCompleteReport:
     """Clause-by-clause trace for edge-labeling completeness.
@@ -177,10 +143,6 @@ def line_complemented_interference_of(G: Graph, D: int) -> bool:
     On a connected graph of order >= 5 the labeling is automatically valid.
     """
     _require_cnbd_hypotheses(G)
-    if D == 0:
-        raise ValueError("D must be nonempty")
-    if D >> len(G.edges):
-        raise ValueError("D has edge indices outside the graph")
     return complemented_interference_of(line_graph(G), D)
 
 
@@ -190,10 +152,8 @@ def line_complemented_size_rule(G: Graph, D: int) -> bool:
     _require_cnbd_hypotheses(G)
     if D.bit_count() < 5:
         raise HypothesisViolation("size rule needs |D| >= 5")
-    if line_complemented_interference_of(G, D):
-        return True
     L = line_graph(G)
-    return any(
+    return complemented_interference_of(L, D) or any(
         not (D >> e & 1) and (L.adj[e] | 1 << e) == L.full_mask for e in L.vertices()
     )
 

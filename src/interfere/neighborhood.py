@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .bitset import iter_bits
+from .bitset import check_set, iter_bits
 from .core import SetLabeling
 from .domination import is_dominating
 from .graphs import (
@@ -128,10 +128,7 @@ def neighborhood_interference_of(G: Graph, D: int) -> bool:
     Every vertex outside D needs a member of D at distance two, or a member
     of D adjacent to it forming a triangle with it.
     """
-    if D == 0:
-        raise ValueError("D must be nonempty")
-    if D >> G.n:
-        raise ValueError("D has vertices outside the graph")
+    check_set(D, G.n)
     T = two_path_graph(G)
     return T is not None and is_dominating(T, D)
 
@@ -176,10 +173,7 @@ def two_path_complete(G: Graph) -> bool:
 def complemented_interference_of(G: Graph, D: int) -> bool:
     """Structural test that u -> V \\ N(u) interferes for D: G is
     point-determining and complemented_escapes(G, D) holds."""
-    if D == 0:
-        raise ValueError("D must be nonempty")
-    if D >> G.n:
-        raise ValueError("D has vertices outside the graph")
+    check_set(D, G.n)
     return is_point_determining(G) and complemented_escapes(G, D)
 
 

@@ -51,8 +51,8 @@ from interfere import (
     is_pattern_interference,
     line_complemented_independence_rule,
     line_complemented_regular_rule,
-    line_injective,
-    line_interference_of,
+    line_graph,
+    line_injectivity_report,
     mask_of,
     matching,
     max_cross_intersecting,
@@ -163,7 +163,7 @@ def test_criterion_03_two_block_law_and_k2s_index():
     for s in range(2, 13):
         assert bipartite_index(2, s) == ceil_log2(s + 4), s
     for s in range(2, 6):
-        res = interference_index(complete_bipartite(2, s), Pattern.all_minimal_dominating())
+        res = interference_index(complete_bipartite(2, s), Pattern.all_dominating())
         assert res.index == bipartite_index(2, s), s
 
 
@@ -177,7 +177,7 @@ def test_criterion_04_krs_equality_window():
     for r in (3, 4):
         for s in range(r, 7):
             assert bipartite_index(r, s) == ceil_log2(2 * r + s), (r, s)
-            res = interference_index(complete_bipartite(r, s), Pattern.all_minimal_dominating())
+            res = interference_index(complete_bipartite(r, s), Pattern.all_dominating())
             assert res.index == bipartite_index(r, s), (r, s)
 
 
@@ -279,17 +279,21 @@ def test_criterion_08_line_injectivity():
         certificate(Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])),  # K4 - e
         certificate(Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])),  # paw
     }
-    found = {certificate(G) for G in connected_graphs(4) if not line_injective(G)}
+    found = {
+        certificate(G) for G in connected_graphs(4) if not line_injectivity_report(G).injective
+    }
     assert found == offenders
-    assert line_injective(star(3))  # the only other connected graph on 4 vertices
+    # the only other connected graph on 4 vertices
+    assert line_injectivity_report(star(3)).injective
 
     for n in range(5, 8):
-        assert all(line_injective(G) for G in connected_graphs(n)), n
+        assert all(line_injectivity_report(G).injective for G in connected_graphs(n)), n
 
     for n in range(2, 8):
         for G in connected_graphs(n):
             rows = _edge_label_sets(G)
-            assert line_injective(G) == (len(set(rows)) == len(rows)), itf.to_graph6(G)
+            injective = line_injectivity_report(G).injective
+            assert injective == (len(set(rows)) == len(rows)), itf.to_graph6(G)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +311,10 @@ def test_criterion_09_line_interference_oracle_and_rules():
     for n in range(2, 7):
         for G in connected_graphs(n):
             labels = _edge_label_sets(G)
+            L = line_graph(G)
             for _ in range(300):
                 D = rng.randrange(1, 1 << G.m)
-                assert line_interference_of(G, D) == _oracle_verdict(labels, D), (
+                assert neighborhood_interference_of(L, D) == _oracle_verdict(labels, D), (
                     itf.to_graph6(G),
                     bin(D),
                 )

@@ -1,7 +1,10 @@
 """Command line interface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -550,3 +553,22 @@ class TestHarness:
             fresh.append((code, strip_timing(json.loads(out))))
         assert shared == fresh
         assert [code for code, _ in shared] == [USAGE, OK, USAGE]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--catalog", "6"],
+    ["index", "--graph", "complete:5"],
+    ["--help"],
+])
+def test_closed_stdout_exits_one_without_traceback(argv):
+    """A reader that closes stdout before anything is written ends the run
+    with exit code 1 and no traceback on stderr."""
+    src = str(Path(itf.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "interfere.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the child is still starting up: it has written nothing
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

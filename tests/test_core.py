@@ -104,6 +104,36 @@ class TestInterferencePredicate:
             is_interference(complete(3), 0, SetLabeling(2, [1, 2, 3]))
 
 
+_C5, _K4, _P5 = itf.cycle(5), complete(4), itf.path(5)
+_C5_LAB = build_complete_interference(5)
+
+# every criterion that takes a target set: the order of the graph the set
+# lives in (edges of G on the L(G) routes), and the criterion applied to D
+TARGET_SET_CRITERIA = {
+    "is_interference": (5, lambda D: is_interference(_C5, D, _C5_LAB)),
+    "overlap_violation": (5, lambda D: overlap_violation(_C5, overlap_graph(_C5, _C5_LAB), D)),
+    "neighborhood_interference_of": (5, lambda D: itf.neighborhood_interference_of(_C5, D)),
+    "complemented_interference_of": (5, lambda D: itf.complemented_interference_of(_C5, D)),
+    "open_on_line_graph": (6, lambda D: itf.neighborhood_interference_of(itf.line_graph(_K4), D)),
+    "complemented_on_line_graph":
+        (6, lambda D: itf.complemented_interference_of(itf.line_graph(_K4), D)),
+    "line_complemented_interference_of":
+        (4, lambda D: itf.line_complemented_interference_of(_P5, D)),
+    "distance_pattern": (5, lambda D: itf.distance_pattern(_C5, D)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGET_SET_CRITERIA))
+def test_target_set_guards(name):
+    """An empty target set, or one reaching past the graph, is a ValueError."""
+    order, criterion = TARGET_SET_CRITERIA[name]
+    criterion((1 << order) - 1)  # the whole graph passes the guard
+    with pytest.raises(ValueError, match="must be nonempty"):
+        criterion(0)
+    with pytest.raises(ValueError, match="has vertices outside the graph"):
+        criterion(1 << order)
+
+
 class TestPatterns:
     def test_singletons_expansion(self):
         G = itf.path(3)
@@ -138,13 +168,14 @@ class TestPatterns:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_reduction_is_sound_for_verdicts(self, n):
         """Interference for every minimal dominating set extends upward, so the
-        reduced family gives identical pattern verdicts."""
+        reduced family gives the verdicts of the family of every dominating set."""
         rng = random.Random(100 + n)
         for G in itf.all_graphs(n)[::2]:
+            every = Pattern.explicit(itf.all_dominating_sets(G))
             for _ in range(8):
                 lab = random_labeling(n, 3, rng)
                 a = is_pattern_interference(G, Pattern.all_dominating(), lab)
-                b = is_pattern_interference(G, Pattern.all_minimal_dominating(), lab)
+                b = is_pattern_interference(G, every, lab)
                 assert a == b
 
     def test_pattern_interference_checks_every_member(self):

@@ -124,7 +124,7 @@ class TestMetrics:
                 lengths = nx.single_source_shortest_path_length(H, u)
                 for v in G.vertices():
                     want = lengths.get(v, INFINITY)
-                    assert itf.distance(G, u, v) == want
+                    assert itf.bfs_distances(G, u)[v] == want
 
     def test_diameter_cases(self):
         assert diameter(complete(5)) == 1

@@ -77,14 +77,14 @@ class TestSearchAgainstBrute:
     def test_minimal_dominating_families(self):
         for G in itf.connected_graphs(5):
             fam = itf.minimal_dominating_sets(G)
-            got = exists_interference(G, Pattern.all_minimal_dominating(), 3)
+            got = exists_interference(G, Pattern.all_dominating(), 3)
             want = brute_exists_interference(G, [list(itf.bit_list(D)) for D in fam], 3)
             assert (got is not None) == want, itf.to_graph6(G)
 
     def test_symmetry_flag_does_not_change_verdicts(self):
         for G in itf.connected_graphs(5)[::3]:
-            a = exists_interference(G, Pattern.all_minimal_dominating(), 3, symmetry=True)
-            b = exists_interference(G, Pattern.all_minimal_dominating(), 3, symmetry=False)
+            a = exists_interference(G, Pattern.all_dominating(), 3, symmetry=True)
+            b = exists_interference(G, Pattern.all_dominating(), 3, symmetry=False)
             assert (a is None) == (b is None)
 
 
@@ -108,7 +108,6 @@ TWIN_RICH = (
 )
 PATTERNS = (
     Pattern.all_dominating(),
-    Pattern.all_minimal_dominating(),
     Pattern.singletons(),
 )
 
@@ -263,31 +262,31 @@ class TestPinnedSearch:
             id="K6,6",
         ),
         pytest.param(
-            gnp(10, 0.8, 5), Pattern.all_minimal_dominating(),
+            gnp(10, 0.8, 5), Pattern.all_dominating(),
             [(4, True, 11)], (10, 3, 6, 7, 14, 9, 15, 11, 13, 5),
             id="G(10,0.8)#5",
         ),
         pytest.param(
-            gnp(10, 0.8, 35), Pattern.all_minimal_dominating(),
+            gnp(10, 0.8, 35), Pattern.all_dominating(),
             [(4, True, 10)], (11, 12, 3, 5, 13, 6, 9, 7, 10, 14),
             id="G(10,0.8)#35",
         ),
         pytest.param(
-            gnp(15, 0.8, 1), Pattern.all_minimal_dominating(),
+            gnp(15, 0.8, 1), Pattern.all_dominating(),
             [(4, False, 0), (5, True, 0)],
             (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29),
             id="G(15,0.8)#1",
         ),
         # neighbor counting refutes m = 4 at the root
         pytest.param(
-            gnp(12, 0.8, 1), Pattern.all_minimal_dominating(),
+            gnp(12, 0.8, 1), Pattern.all_dominating(),
             [(4, False, 0), (5, True, 0)],
             (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23),
             id="G(12,0.8)#1",
         ),
         # and here early in the search
         pytest.param(
-            gnp(14, 0.7, 1), Pattern.all_minimal_dominating(),
+            gnp(14, 0.7, 1), Pattern.all_dominating(),
             [(4, False, 392), (5, True, 0)],
             (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27),
             id="G(14,0.7)#1",
@@ -478,7 +477,7 @@ class TestIndexMachinery:
         for G, P, m in (
             (complete(4), Pattern.all_dominating(), 3),
             (complete(16), Pattern.all_dominating(), 5),
-            (complete_bipartite(8, 8), Pattern.all_minimal_dominating(), 5),
+            (complete_bipartite(8, 8), Pattern.all_dominating(), 5),
         ):
             calls.clear()
             res = interference_index(G, P)
@@ -592,7 +591,7 @@ class TestBipartiteIndex:
     @pytest.mark.parametrize("r,s", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)])
     def test_agrees_with_direct_search(self, r, s):
         G = complete_bipartite(r, s)
-        res = interference_index(G, Pattern.all_minimal_dominating())
+        res = interference_index(G, Pattern.all_dominating())
         assert res.index == itf.bipartite_index(r, s)
 
     @pytest.mark.parametrize("r,s", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])

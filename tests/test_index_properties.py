@@ -60,7 +60,7 @@ def dense_graphs(draw):
 def graph_and_pattern(draw, graphs=graphs_with_twins()):
     G = draw(graphs)
     if draw(st.booleans()):
-        return G, Pattern.all_minimal_dominating()
+        return G, Pattern.all_dominating()
     # an explicit subfamily can make graph twins asymmetric
     minimal = itf.minimal_dominating_sets(G)
     picked = draw(st.lists(st.sampled_from(minimal), min_size=1, max_size=4, unique=True))

@@ -15,10 +15,9 @@ from interfere import (
     is_interference,
     line_complete_report,
     line_graph,
-    line_injective,
     line_injectivity_report,
-    line_interference_of,
-    line_singleton,
+    neighborhood_interference_of,
+    neighborhood_singleton,
     path,
 )
 
@@ -50,24 +49,25 @@ class TestInjectivity:
         bad["K4_minus_edge"] = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
         bad["paw"] = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         for name, G in bad.items():
-            assert not line_injective(G), name
-        assert line_injective(itf.star(3))  # the only other connected 4-graph
+            assert not line_injectivity_report(G).injective, name
+        # the only other connected 4-graph
+        assert line_injectivity_report(itf.star(3)).injective
 
     @pytest.mark.parametrize("n", range(5, 8))
     def test_all_larger_connected_graphs_pass(self, n):
         for G in itf.connected_graphs(n):
-            assert line_injective(G), itf.to_graph6(G)
+            assert line_injectivity_report(G).injective, itf.to_graph6(G)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_pairwise_oracle_on_line_graph(self, n):
         for G in itf.all_graphs(n):
             if G.m == 0:
                 with pytest.raises(ValueError):
-                    line_injective(G)
+                    line_injectivity_report(G)
                 continue
             L = line_graph(G)
             dup = len({L.adj[e] for e in L.vertices()}) < L.n
-            assert line_injective(G) == (not dup), itf.to_graph6(G)
+            assert line_injectivity_report(G).injective == (not dup), itf.to_graph6(G)
 
     def test_obstruction_inventory(self):
         rep = line_injectivity_report(itf.matching(2))
@@ -75,7 +75,7 @@ class TestInjectivity:
         rep = line_injectivity_report(cycle(4))
         assert rep.obstructions == (("sandwich", (0, 1, 2, 3)),)
         # one lone K2 component is harmless
-        assert line_injective(Graph(3, [(0, 1)]))
+        assert line_injectivity_report(Graph(3, [(0, 1)])).injective
 
 
 class TestInterferenceOf:
@@ -96,9 +96,10 @@ class TestInterferenceOf:
             else:
                 rng = random.Random(itf.to_graph6(G))
                 targets = [rng.randrange(1, 1 << G.m) for _ in range(100)]
+            LG = line_graph(G)
             for D in targets:
                 want = rep.valid and is_interference(K, D, rep.labeling)
-                assert line_interference_of(G, D) == want, (itf.to_graph6(G), bin(D))
+                assert neighborhood_interference_of(LG, D) == want, (itf.to_graph6(G), bin(D))
 
     def test_seeded_order_six(self):
         rng = random.Random(17)
@@ -107,7 +108,7 @@ class TestInterferenceOf:
             for _ in range(25):
                 D = rng.randrange(1, 1 << G.m)
                 want = rep.valid and is_interference(complete(L.n), D, rep.labeling)
-                assert line_interference_of(G, D) == want
+                assert neighborhood_interference_of(line_graph(G), D) == want
 
     def test_singleton_edges(self):
         for G in itf.graphs_upto(6):
@@ -116,11 +117,11 @@ class TestInterferenceOf:
             L, rep = line_oracle_labeling(G)
             for e in range(G.m):
                 want = rep.valid and is_interference(complete(L.n), 1 << e, rep.labeling)
-                assert line_singleton(G, e) == want, (itf.to_graph6(G), e)
+                assert neighborhood_singleton(line_graph(G), e) == want, (itf.to_graph6(G), e)
 
     def test_rejects_empty_target(self):
         with pytest.raises(ValueError):
-            line_interference_of(path(4), 0)
+            neighborhood_interference_of(line_graph(path(4)), 0)
 
 
 class TestCompleteness:

@@ -45,16 +45,15 @@ def test_stdlib_only_imports():
         pytest.fail(f"imports outside the standard library: {', '.join(found)}")
 
 
-# Public functions that no package module calls: each is part of the API the
-# README's module table documents (BFS metrics, the catalog by order, the
-# existence search at one m, the edge-labeling injectivity and singleton
-# verdicts).
+# Functions and methods that no package module calls: the public ones are
+# part of the API the README's module table documents (the catalog by order,
+# the existence search at one m); argparse calls the parser's error and
+# print_help hooks.
 ENTRY_POINTS = (
     "catalog.graphs_upto",
-    "graphs.distance",
+    "cli._Parser.error",
+    "cli._Parser.print_help",
     "index_search.exists_interference",
-    "linegraph.line_injective",
-    "linegraph.line_singleton",
 )
 
 
@@ -68,10 +67,23 @@ def _names_used(node):
     ]
 
 
+def _functions(module, tree):
+    """(qualified name, node) of each top-level function and of each method
+    of a top-level class, dunder methods left out."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                    yield f"{module}.{node.name}.{sub.name}", sub
+
+
 def test_every_function_has_a_caller():
-    """Every top-level function is read by package code outside its own body
-    (re-exports in __init__.py do not count), or is a listed entry point.
-    Helpers that only tests use belong in tests/oracles.py."""
+    """Every top-level function and every method of a package class is read
+    by package code outside its own body (re-exports in __init__.py do not
+    count), or is a listed entry point.  Dunder methods are exempt.  Helpers
+    that only tests use belong in tests/oracles.py."""
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(PACKAGE.glob("*.py"))
@@ -80,10 +92,7 @@ def test_every_function_has_a_caller():
     used = Counter(name for tree in trees.values() for name in _names_used(tree))
     defined, found = set(), []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            name = f"{module}.{node.name}"
+        for name, node in _functions(module, tree):
             defined.add(name)
             own = _names_used(node).count(node.name)  # recursion is not a caller
             if used[node.name] == own and name not in ENTRY_POINTS:
