@@ -33,3 +33,9 @@ def check_set(mask: int, size: int, name: str = "D") -> None:
         raise ValueError(f"{name} must be nonempty")
     if mask >> size:
         raise ValueError(f"{name} has vertices outside the graph")
+
+
+def check_vertex(v: int, size: int) -> None:
+    """Raise ValueError unless v is a vertex of {0..size-1}."""
+    if not 0 <= v < size:
+        raise ValueError(f"vertex {v} out of range for order {size}")

@@ -20,15 +20,27 @@ degree, so vertices of one color have equally many neighbors; for those,
 their sorted neighbor-color tuples, so the classes come out in the same order
 as by sorting those tuples.
 
-Graphs on n vertices are produced by augmenting every (n-1)-vertex
-representative R with one new vertex, then deduplicating by certificate.  The
-search run on R finds automorphisms of R: a transposition for each skipped
-twin, and the map between the orderings of any two leaves with the best code.
-R is augmented only with the neighbor sets that start a new orbit under
-those automorphisms.  They span a subgroup of Aut(R), so some isomorphic
-augmentations remain; the certificate removes them, and the catalog is exact.
-A candidate is certified on its adjacency rows; only the representatives
-become Graphs.
+The search also reports automorphisms: a transposition for each skipped twin,
+and the map from the first best leaf to each later one.  These maps generate
+the whole automorphism group; the tests match its order against a brute-force
+count on every graph up to order 6 and on symmetric graphs up to order 7.
+
+Graphs on n vertices come from McKay's canonical construction path
+("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Each
+(n-1)-vertex representative R gets a new vertex x, joined to one neighbor set
+from each orbit of Aut(R).  The canonical deletion vertex c of a candidate G is
+the first vertex of maximum degree in the first best leaf its search finds.
+Two best leaves differ by an automorphism, so c's orbit does not depend on
+which leaf that is, and relabeling G carries the orbit along.  G is kept only
+when x lies in c's orbit, and then each class is kept exactly once.  It is
+met: deleting c from one of its graphs leaves some R, and the orbit of c's
+neighbor set holds a candidate in which x plays c's part.  It is met once: an
+isomorphism between two kept candidates can be chosen to fix x, so they share
+R and their neighbor sets share an orbit, from which one set was tried.  Both
+steps need the whole groups Aut(R) and Aut(G).  A candidate in which some
+vertex has a higher degree than x is rejected before any search, since no
+vertex of x's orbit then has maximum degree; most candidates end there.  Only
+the kept candidates become Graphs.
 
 Known totals used by the tests: 1, 2, 4, 11, 34, 156, 1044, 12346 graphs and
 1, 1, 2, 6, 21, 112, 853, 11117 connected graphs on 1..8 vertices.
@@ -36,9 +48,9 @@ Known totals used by the tests: 1, 2, 4, 11, 34, 156, 1044, 12346 graphs and
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
-from .bitset import iter_bits
+from .bitset import iter_bits, mask_of
 from .errors import CapExceededError
 from .graphs import Graph, is_connected
 
@@ -78,9 +90,12 @@ def _refine_colors(n: int, adj: Sequence[int]) -> List[int]:
         colors = [ranks[k] for k in keys]
 
 
-def _search(n: int, adj: Sequence[int], autos: Optional[List[Perm]] = None) -> int:
+def _search(
+    n: int, adj: Sequence[int], autos: Optional[List[Perm]] = None
+) -> Tuple[int, List[int]]:
     """The minimal adjacency code of the graph with rows ``adj`` over the
-    orderings the refinement allows.
+    orderings the refinement allows, and the first ordering found with it
+    (vertex at each position).
 
     When ``autos`` is a list, the automorphisms met on the way (skipped
     twins, leaves tied for the best code) are appended to it.
@@ -155,19 +170,12 @@ def _search(n: int, adj: Sequence[int], autos: Optional[List[Perm]] = None) -> i
             for a, b in zip(first, other):
                 p[a] = b
             autos.append(tuple(p))
-    return best[n]
+    return best[n], leaves[0]
 
 
-class _Rows(NamedTuple):
-    """The part of a Graph that certificate reads: order and adjacency rows."""
-
-    n: int
-    adj: List[int]
-
-
-def certificate(G: Union[Graph, _Rows]) -> Tuple[int, int]:
+def certificate(G: Graph) -> Tuple[int, int]:
     """Exact isomorphism certificate: (n, minimal adjacency code)."""
-    return (G.n, _search(G.n, G.adj))
+    return (G.n, _search(G.n, G.adj)[0])
 
 
 def _orbit_starts(k: int, autos: List[Perm]) -> List[int]:
@@ -198,8 +206,22 @@ def _orbit_starts(k: int, autos: List[Perm]) -> List[int]:
     return starts
 
 
-def _graph_from_certificate(cert: Tuple[int, int]) -> Graph:
-    n, code = cert
+def _in_orbit(x: int, c: int, autos: List[Perm]) -> bool:
+    """Whether some product of the maps in autos takes c to x."""
+    seen = {c}
+    stack = [c]
+    while stack:
+        v = stack.pop()
+        if v == x:
+            return True
+        for p in autos:
+            if p[v] not in seen:
+                seen.add(p[v])
+                stack.append(p[v])
+    return False
+
+
+def _graph_from_code(n: int, code: int) -> Graph:
     rows = [0] * n
     pos = n * (n - 1) // 2
     for i in range(n):
@@ -220,17 +242,28 @@ def all_graphs(n: int) -> Tuple[Graph, ...]:
         raise CapExceededError(f"graph catalog capped at n <= {MAX_CATALOG_N}")
     if n == 1:
         return (Graph(1),)
-    reps: dict[Tuple[int, int], None] = {}
-    new_bit = 1 << (n - 1)  # the new vertex n - 1
-    for R in all_graphs(n - 1):
+    codes: List[int] = []
+    x = n - 1  # the new vertex
+    for R in all_graphs(x):
         autos: List[Perm] = []
-        _search(R.n, R.adj, autos)
-        for mask in _orbit_starts(n - 1, autos):
-            rows = [a | new_bit if mask >> v & 1 else a for v, a in enumerate(R.adj)]
+        _search(x, R.adj, autos)
+        most = max(a.bit_count() for a in R.adj)
+        peaks = mask_of(v for v, a in enumerate(R.adj) if a.bit_count() == most)
+        for mask in _orbit_starts(x, autos):
+            # x has the largest degree unless R has a vertex of higher degree,
+            # or x joins a vertex of its own degree, which then gains one
+            top = mask.bit_count()  # the degree of x
+            if top < most or top == most and mask & peaks:
+                continue
+            rows = [a | 1 << x if mask >> v & 1 else a for v, a in enumerate(R.adj)]
             rows.append(mask)
-            reps.setdefault(certificate(_Rows(n, rows)))
-    certs = sorted(reps, key=lambda c: (bin(c[1]).count("1"), c[1]))
-    return tuple(_graph_from_certificate(c) for c in certs)
+            found: List[Perm] = []
+            code, leaf = _search(n, rows, found)
+            c = next(v for v in leaf if rows[v].bit_count() == top)
+            if _in_orbit(x, c, found):
+                codes.append(code)
+    codes.sort(key=lambda code: (code.bit_count(), code))
+    return tuple(_graph_from_code(n, code) for code in codes)
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .bitset import bit_list, iter_bits, mask_of
+from .bitset import bit_list, check_vertex, iter_bits, mask_of
 from .catalog import all_graphs, connected_graphs, connected_graphs_upto
 from .core import (
     Pattern,
@@ -50,6 +50,7 @@ from .families import complete, parse_family_spec
 from .graphs import (
     Graph,
     bfs_distances,
+    check_has_edge,
     components,
     fingerprint,
     from_edge_list,
@@ -137,12 +138,9 @@ def parse_vertex_set(text: str, n: int) -> int:
         raise ValueError(f"vertex set {text!r} must be a comma list of ints") from None
     if not verts:
         raise ValueError("vertex set must be nonempty")
-    mask = 0
     for v in verts:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range for order {n}")
-        mask |= 1 << v
-    return mask
+        check_vertex(v, n)
+    return mask_of(verts)
 
 
 def parse_edge_set(tokens: List[str], G: Graph) -> int:
@@ -317,10 +315,10 @@ def cmd_nbd(args) -> dict:
     if args.set is not None:
         mode, target = "set", parse_vertex_set(args.set, G.n)
     elif args.singleton is not None:
-        _check_vertex(args.singleton, G.n)
+        check_vertex(args.singleton, G.n)
         mode, target = "singleton", 1 << args.singleton
     elif args.allbut is not None:
-        _check_vertex(args.allbut, G.n)
+        check_vertex(args.allbut, G.n)
         mode, target = "allbut", G.full_mask & ~(1 << args.allbut)
         if target == 0:
             raise ValueError("the all-but-one set is empty on an order-1 graph")
@@ -369,15 +367,9 @@ def cmd_nbd(args) -> dict:
     return report
 
 
-def _check_vertex(v: int, n: int) -> None:
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} out of range for order {n}")
-
-
 def cmd_linegraph(args) -> dict:
     G = resolve_graph(args.graph)
-    if not G.edges:
-        raise ValueError("edge labelings of an edgeless graph are undefined")
+    check_has_edge(G)
     report = {"command": "linegraph", "graph": fingerprint(G), "check": args.check}
     D = parse_edge_set(args.edge_set, G) if args.edge_set else None
     if D is not None:

@@ -14,7 +14,7 @@ import hashlib
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .bitset import iter_bits
+from .bitset import check_vertex, iter_bits
 from .errors import GraphFormatError
 
 
@@ -132,8 +132,7 @@ def complemented_neighborhood(G: Graph, u: int) -> int:
 
 def bfs_distances(G: Graph, source: int) -> List[Distance]:
     """Distances from source to every vertex; INFINITY where unreachable."""
-    if not 0 <= source < G.n:
-        raise ValueError(f"source {source} out of range")
+    check_vertex(source, G.n)
     dist: List[Distance] = [INFINITY] * G.n
     dist[source] = 0
     frontier = 1 << source
@@ -202,12 +201,18 @@ def is_regular(G: Graph) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # line graph
 
+def check_has_edge(G: Graph) -> None:
+    """Raise ValueError unless G has an edge: L(G) and the edge labelings
+    need one."""
+    if not any(G.adj):
+        raise ValueError("line graph and edge labelings of an edgeless graph are undefined")
+
+
 def line_graph(G: Graph) -> Graph:
     """Line graph whose vertex i is the edge G.edges[i]: edges i and j are
     adjacent when they share an endpoint."""
+    check_has_edge(G)
     edges = G.edges
-    if not edges:
-        raise ValueError("line graph of an edgeless graph is undefined")
     at_vertex = [0] * G.n  # edge indices at each vertex
     for i, (u, v) in enumerate(edges):
         at_vertex[u] |= 1 << i

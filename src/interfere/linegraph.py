@@ -22,7 +22,7 @@ from typing import Iterable, List, Tuple
 
 from .bitset import bit_list
 from .errors import HypothesisViolation
-from .graphs import Graph, components, is_connected, is_regular, line_graph
+from .graphs import Graph, check_has_edge, components, is_connected, is_regular, line_graph
 from .neighborhood import _two_path_rows, complemented_interference_of, neighborhood_complete
 
 
@@ -72,8 +72,7 @@ def line_injectivity_report(G: Graph) -> InjectivityReport:
     Fails exactly when two components are single edges (both labels empty)
     or some component is a sandwich between the 4-path and K4.
     """
-    if not G.edges:
-        raise ValueError("the edge labeling of an edgeless graph is undefined")
+    check_has_edge(G)
     kinds = _component_kinds(G)
     k2s = [(k, v) for k, v in kinds if k == "K2"]
     sandwiches = [(k, v) for k, v in kinds if k == "sandwich"]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .bitset import check_set, iter_bits
+from .bitset import check_set, check_vertex, iter_bits
 from .core import SetLabeling
 from .domination import is_dominating
 from .graphs import (
@@ -144,16 +144,14 @@ def neighborhood_complete(G: Graph) -> bool:
 def neighborhood_singleton(G: Graph, v: int) -> bool:
     """Interference of the single vertex {v}: everything within distance two
     of v and every edge at v on a triangle, i.e. row v of T(G) is complete."""
-    if not 0 <= v < G.n:
-        raise ValueError(f"vertex {v} out of range")
+    check_vertex(v, G.n)
     return _open_valid(G) and _two_path_row(G, v) | 1 << v == G.full_mask
 
 
 def neighborhood_all_but_one(G: Graph, v: int) -> bool:
     """Interference of V minus {v}: v must touch a vertex of degree >= 2,
     i.e. row v of T(G) is nonempty."""
-    if not 0 <= v < G.n:
-        raise ValueError(f"vertex {v} out of range")
+    check_vertex(v, G.n)
     if not is_connected(G):
         raise ValueError("all-but-one criterion needs a connected graph")
     if G.n < 2:

@@ -16,7 +16,9 @@ pairs the same way.
 brute_certificate walks every vertex ordering its refinement allows, which
 the package's certificate search reaches row by row; that refinement,
 reference_refine_colors, compares sorted neighbor-color tuples where the
-package counts neighbors per color cell.  scan_index asks the
+package counts neighbors per color cell.  brute_automorphism_count tries
+every vertex permutation, where the package generates the group from the
+automorphisms its search meets.  scan_index asks the
 package's exists_interference at every m between the index bounds, where
 interference_index trusts the doubling construction at the upper one.
 """
@@ -161,6 +163,15 @@ def brute_certificate(G: Graph):
         if best is None or code < best:
             best = code
     return (G.n, best)
+
+
+def brute_automorphism_count(G: Graph) -> int:
+    """|Aut(G)|: the vertex permutations that map the edge set onto itself."""
+    edges = {frozenset(e) for e in G.edges}
+    return sum(
+        all(frozenset((p[u], p[v])) in edges for u, v in G.edges)
+        for p in itertools.permutations(range(G.n))
+    )
 
 
 def brute_catalogs(max_n: int):

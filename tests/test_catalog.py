@@ -1,5 +1,6 @@
 """Exhaustive small-graph catalog and the isomorphism certificate."""
 
+import hashlib
 import random
 
 import networkx as nx
@@ -7,10 +8,21 @@ import pytest
 
 import interfere as itf
 from interfere import Graph, catalog, certificate
-from oracles import brute_catalogs, brute_certificate, reference_refine_colors
+from oracles import (
+    brute_automorphism_count,
+    brute_catalogs,
+    brute_certificate,
+    reference_refine_colors,
+)
 
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+# SHA-256 of the graph6 lines of the order-8 catalogs, as `gen --catalog 8`
+# and `gen --catalog 8 --connected` print them
+ORDER_8_SHA256 = {
+    "all": "3265f989f01fdff7fad4932b240a17d4270336453b827d54837500900ceb8c26",
+    "connected": "8012986be33a26690f85aba8162da672c6cb7824aa625b6b02bc24037167f77c",
+}
 
 
 class TestCounts:
@@ -34,6 +46,13 @@ class TestCounts:
         reference = brute_catalogs(7)
         for n in range(1, 8):
             assert [G.edges for G in itf.all_graphs(n)] == reference[n]
+
+    def test_order_eight_is_pinned(self):
+        # beyond the reach of the brute-force catalog: the exact graphs and
+        # their order are fixed by hash
+        for kind, graphs in (("all", itf.all_graphs(8)), ("connected", itf.connected_graphs(8))):
+            text = "".join(itf.to_graph6(G) + "\n" for G in graphs)
+            assert hashlib.sha256(text.encode()).hexdigest() == ORDER_8_SHA256[kind]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_networkx_atlas(self, n):
@@ -150,6 +169,30 @@ class TestCertificate:
                                 seen.add(U)
                                 frontier.append(U)
                 assert catalog._orbit_starts(n, autos) == want
+
+    def test_automorphisms_generate_the_group(self):
+        # a candidate is kept when its new vertex lies in the deletion
+        # vertex's orbit under these maps: exact only if they generate Aut(G)
+        rng = random.Random(13)
+        graphs = [G for n in range(1, 7) for G in itf.all_graphs(n)]
+        graphs += [G for G in SYMMETRIC.values() if G.n <= 7]
+        for G in graphs:
+            want = brute_automorphism_count(G)
+            perm = list(range(G.n))
+            rng.shuffle(perm)
+            for H in (G, relabeled(G, perm)):
+                autos = []
+                catalog._search(H.n, H.adj, autos)
+                group = {tuple(range(H.n))}
+                frontier = list(group)
+                while frontier:
+                    g = frontier.pop()
+                    for p in autos:
+                        h = tuple(p[v] for v in g)
+                        if h not in group:
+                            group.add(h)
+                            frontier.append(h)
+                assert len(group) == want, H.edges
 
     def test_separates_same_degree_sequence(self):
         # C6 and two triangles share the degree sequence but not the certificate

@@ -139,6 +139,17 @@ class TestCheck:
         assert code == FORMAT
         assert json.loads(out)["error"]["kind"] == "format"
 
+    @pytest.mark.parametrize("argv", [
+        ["nbd", "--graph", "cycle:5", "--singleton", "5"],
+        ["nbd", "--graph", "cycle:5", "--allbut", "5"],
+        ["nbd", "--graph", "cycle:5", "--set", "0,5"],
+        ["dpd", "--graph", "cycle:5", "--set", "5"],
+    ])
+    def test_vertex_guard_message(self, argv):
+        code, obj = run_cli_json(argv)
+        assert code == USAGE
+        assert obj["error"]["message"] == "vertex 5 out of range for order 5"
+
     def test_vertex_out_of_range_is_usage(self):
         code, out = run_cli(
             ["check", "--graph", "complete:3", "--labeling", "complete", "--set", "9"]

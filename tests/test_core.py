@@ -134,6 +134,23 @@ def test_target_set_guards(name):
         criterion(1 << order)
 
 
+VERTEX_CRITERIA = {
+    "neighborhood_singleton": lambda v: itf.neighborhood_singleton(_C5, v),
+    "neighborhood_all_but_one": lambda v: itf.neighborhood_all_but_one(_C5, v),
+    "bfs_distances": lambda v: itf.bfs_distances(_C5, v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_CRITERIA))
+def test_vertex_guards(name):
+    """A vertex outside the graph is a ValueError with the one message."""
+    criterion = VERTEX_CRITERIA[name]
+    criterion(4)  # the last vertex passes the guard
+    for v in (-1, 5):
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range for order 5$"):
+            criterion(v)
+
+
 class TestPatterns:
     def test_singletons_expansion(self):
         G = itf.path(3)

@@ -21,6 +21,7 @@ from interfere import (
     path,
 )
 
+from conftest import run_cli_json
 from oracles import independence_number
 
 PETERSEN = Graph(
@@ -41,6 +42,22 @@ def line_oracle_labeling(G):
         H.add_edge(index[tuple(sorted(a))], index[tuple(sorted(b))])
     L = Graph(G.m, list(H.edges()))
     return L, itf.neighborhood_labeling(L)
+
+
+def test_edgeless_graph_guard():
+    """L(G), the injectivity report and the linegraph command need an edge,
+    and all three say so in one message."""
+    message = "line graph and edge labelings of an edgeless graph are undefined"
+    for G in (Graph(1), Graph(3, [])):
+        for route in (line_graph, line_injectivity_report):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                route(G)
+        for check in ("injective", "interference", "complete", "cnbd", "rules"):
+            code, obj = run_cli_json(
+                ["linegraph", "--graph", f"g6:{itf.to_graph6(G)}", "--check", check]
+            )
+            assert code == 2
+            assert obj["error"]["message"] == message
 
 
 class TestInjectivity:

@@ -47,9 +47,11 @@ def test_stdlib_only_imports():
 
 # Functions and methods that no package module calls: the public ones are
 # part of the API the README's module table documents (the catalog by order,
-# the existence search at one m); argparse calls the parser's error and
+# the existence search at one m, the isomorphism certificate, which
+# bench/tracer.py also binds by name); argparse calls the parser's error and
 # print_help hooks.
 ENTRY_POINTS = (
+    "catalog.certificate",
     "catalog.graphs_upto",
     "cli._Parser.error",
     "cli._Parser.print_help",
