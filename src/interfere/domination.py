@@ -54,8 +54,6 @@ def minimal_dominating_sets(G: Graph) -> Tuple[int, ...]:
             cands = closed[u] & ~forbidden
             if best_u < 0 or cands.bit_count() < best_cands.bit_count():
                 best_u, best_cands = u, cands
-        if best_cands == 0:
-            return
         excl = 0
         for v in iter_bits(best_cands):
             rec(chosen | (1 << v), covered | closed[v], forbidden | excl)

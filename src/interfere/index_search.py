@@ -18,8 +18,8 @@ set) and prunes with:
   rules of (u, Vs), so the monotone rules reach the same fixpoint and the
   search tree is unchanged (the order and the twin classes still read
   every constraint);
-* all-different unit propagation plus a union cardinality check (labels must
-  be pairwise distinct);
+* all-different (labels must be pairwise distinct): the committed codes
+  leave every other domain, and the union of the domains must hold n codes;
 * neighbor counting on the forced graph F, whose edges are the pairs
   (u, {v}) with one candidate (f(u) and f(v) must meet): a vertex u of
   F-degree d >= 2 keeps a code c only if the union of its F-neighbors'
@@ -38,14 +38,20 @@ set) and prunes with:
   obeys both symmetry rules (Crawford, Ginsberg, Luks & Roy, KR 1996; Law &
   Lee, CP 2004), so no orbit loses its solutions.
 
-symmetry=False turns off both symmetry rules; the propagation rules always
-run.  Every assignment counts against the node budget; exceeding it raises
-SearchBudgetExceeded rather than returning a verdict.  interference_index runs
-at most one search, since the doubling construction answers the upper bound.
+Both exhaustive searches here, the kernel and max_cross_intersecting, read
+two tables built once per m: the codes meeting each element set
+(_meeting_codes) and the codes first-occurrence order admits after each
+prefix of used elements (_first_occurrence).  symmetry=False gives the kernel
+all-codes masks in place of the latter and no twin links; the propagation
+rules always run.  Every assignment counts against the node budget;
+exceeding it raises SearchBudgetExceeded rather than returning a verdict.
+interference_index runs at most one search, since the doubling construction
+answers the upper bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 from typing import List, Optional, Tuple
@@ -175,24 +181,39 @@ def _minimal_constraints(constraints) -> List[Tuple[int, int]]:
     return kept
 
 
+@lru_cache(maxsize=4)  # a table has 4^m bits: keep only the latest few sizes
+def _meeting_codes(m: int) -> Tuple[int, ...]:
+    """sup[e] = mask of the nonzero codes over m elements that meet element-mask e."""
+    K = (1 << m) - 1
+    # subsets[x] = mask of codes that are subsets of element-mask x (incl. 0)
+    subsets = [1] * (K + 1)
+    for x in range(1, K + 1):
+        low = x & -x
+        subsets[x] = subsets[x ^ low] | (subsets[x ^ low] << low)
+    return tuple(subsets[K] ^ subsets[K ^ e] for e in range(K + 1))
+
+
+@lru_cache(maxsize=None)
+def _first_occurrence(m: int, used: int) -> int:
+    """Mask of the codes over m elements that first-occurrence order admits
+    once the first `used` elements have occurred: those whose other elements
+    form one block, possibly empty, starting at element `used`."""
+    within = (1 << (1 << used)) - 1  # codes inside the first `used` elements
+    return sum(within << (((1 << k) - 1) << used) for k in range(m - used + 1))
+
+
 class _Kernel:
     def __init__(self, G: Graph, constraints, m: int, budget: int, symmetry: bool):
         self.n = G.n
         self.m = m
-        K = (1 << m) - 1  # codes run 1..K
-        self.all_codes = ((1 << (K + 1)) - 1) & ~1
+        self.sup = sup = _meeting_codes(m)
+        self.all_codes = sup[-1]  # codes run 1..2^m - 1
+        # first[used] = codes to try once the first `used` elements occur
+        self.first = [_first_occurrence(m, u) if symmetry else sup[-1] for u in range(m + 1)]
         self.budget = budget
-        self.symmetry = symmetry
         self.nodes = 0
-        # subsets[x] = mask of codes that are subsets of element-mask x (incl. 0)
-        subsets = [1] * (K + 1)
-        for x in range(1, K + 1):
-            low = x & -x
-            subsets[x] = subsets[x ^ low] | (subsets[x ^ low] << low)
-        # sup[e] = mask of codes meeting element-mask e
-        self.sup = [self.all_codes & ~subsets[K ^ e] for e in range(K + 1)]
         # (element bit, codes holding that element), to read a domain's element union
-        self.elem_codes = [(1 << e, self.sup[1 << e]) for e in range(m)]
+        self.elem_codes = [(1 << e, sup[1 << e]) for e in range(m)]
         self.constraints = [
             (u, tuple(iter_bits(cands))) for u, cands in _minimal_constraints(constraints)
         ]
@@ -236,28 +257,25 @@ class _Kernel:
         changed = True
         while changed:
             changed = False
-            # all-different: committed codes leave every other domain, those
-            # of earlier vertices as the pass reaches it, the rest after it
-            union_all = committed = 0
-            for v in range(n):
-                d = dom[v]
-                if d & committed and d & (d - 1):
-                    dom[v] = d = d & ~committed
-                    changed = True
-                if d == 0:
-                    return False
-                union_all |= d
+            # all-different: committed codes leave every other domain, and
+            # the domains together must still hold n codes
+            committed = 0
+            for d in dom:
                 if d & (d - 1) == 0:
                     if committed & d:
                         return False  # two vertices committed to one code
                     committed |= d
-            if union_all.bit_count() < n:
-                return False
+            union_all = 0
             for v in range(n):
                 d = dom[v]
                 if d & committed and d & (d - 1):
-                    dom[v] = d & ~committed
+                    dom[v] = d = d & ~committed
+                    if d == 0:
+                        return False
                     changed = True
+                union_all |= d
+            if union_all.bit_count() < n:
+                return False
             eu = [union(d) for d in dom]
             for u, vs in self.constraints:
                 big = 0
@@ -279,9 +297,7 @@ class _Kernel:
                             break
                         sole = v
                 else:
-                    nv = dom[sole] & sup[eu[u]]
-                    if nv == 0:
-                        return False
+                    nv = dom[sole] & sup[eu[u]]  # never empty: sole meets a code of u
                     if nv != dom[sole]:
                         dom[sole] = nv
                         eu[sole] = union(nv)
@@ -313,7 +329,7 @@ class _Kernel:
         dom = [self.all_codes] * self.n
         if not self._propagate(dom):
             return None
-        stack = [[dom, 0, self._codes(0, dom)]]  # [domains, elements used, codes left]
+        stack = [[dom, 0, self._codes(0, dom, 0)]]  # [domains, elements used, codes left]
         while stack:
             frame = stack[-1]
             dom, used, codes = frame
@@ -323,10 +339,6 @@ class _Kernel:
             low = codes & -codes
             frame[2] = codes ^ low
             code = low.bit_length() - 1
-            if self.symmetry:
-                high = code >> used
-                if high & (high + 1):
-                    continue  # fresh elements must form a contiguous block
             self.nodes += 1
             if self.nodes > self.budget:
                 raise SearchBudgetExceeded(
@@ -338,12 +350,14 @@ class _Kernel:
             if self._propagate(nd):
                 if pos + 1 == self.n:
                     return SetLabeling(self.m, tuple(d.bit_length() - 1 for d in nd))
-                stack.append([nd, max(used, code.bit_length()), self._codes(pos + 1, nd)])
+                used = max(used, code.bit_length())
+                stack.append([nd, used, self._codes(pos + 1, nd, used)])
         return None
 
-    def _codes(self, pos: int, dom: List[int]) -> int:
-        """Codes to try at position pos of the order."""
-        codes = dom[self.order[pos]]
+    def _codes(self, pos: int, dom: List[int], used: int) -> int:
+        """Codes to try at position pos of the order, once the first `used`
+        ground elements occur."""
+        codes = dom[self.order[pos]] & self.first[used]
         twin = self.twin[pos]
         if twin >= 0:
             codes &= -(dom[twin] << 1)  # twins take increasing codes along the order
@@ -452,10 +466,11 @@ class CrossIntersectingResult:
 def max_cross_intersecting(r: int, m: int, m_cap: int = 6) -> CrossIntersectingResult:
     """Exhaustive computation of the extremal cross-intersecting size.
 
-    Enumerates the r-subfamily up to ground-set permutation only (each next
-    subset may introduce fresh elements solely as the next contiguous block,
-    which keeps one lexicographically-least member of every orbit); partner
-    counting is exact over all remaining subsets.
+    Enumerates the r-subfamily up to ground-set permutation only, in
+    increasing first-occurrence order (each next subset may introduce fresh
+    elements solely as the next contiguous block, which keeps one
+    lexicographically-least member of every orbit).  The partners of a
+    family are exact: every nonmember code that meets all its members.
     """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
@@ -463,42 +478,30 @@ def max_cross_intersecting(r: int, m: int, m_cap: int = 6) -> CrossIntersectingR
         raise CapExceededError(f"max_cross_intersecting capped at r <= {_R_CAP}, m <= {m_cap}")
     if (1 << m) < r:
         raise ValueError(f"cannot pick {r} distinct subsets of a {m}-set")
-    total = 1 << m
-    best_count = -1
-    best_family: Tuple[int, ...] = ()
-    best_partners: Tuple[int, ...] = ()
+    sup = _meeting_codes(m)
+    best = (-1, (), 0)  # (partner count, family, partner mask)
 
-    def evaluate(fam: List[int]) -> None:
-        nonlocal best_count, best_family, best_partners
-        fam_set = set(fam)
-        partners = [
-            Y for Y in range(1, total) if Y not in fam_set and all(Y & Z for Z in fam)
-        ]
-        if len(partners) > best_count:
-            best_count = len(partners)
-            best_family = tuple(fam)
-            best_partners = tuple(partners)
-
-    def rec(fam: List[int], used: int, last: int) -> None:
+    def rec(fam: List[int], used: int) -> None:
+        nonlocal best
         if len(fam) == r:
-            evaluate(fam)
+            partners = sup[-1]
+            for Z in fam:
+                partners &= sup[Z] & ~(1 << Z)
+            count = partners.bit_count()
+            if count > best[0]:
+                best = (count, tuple(fam), partners)
             return
-        for fresh in range(m - used + 1):
-            block = ((1 << fresh) - 1) << used
-            for low in range(1 << used):
-                c = block | low
-                if c <= last:
-                    continue
-                fam.append(c)
-                rec(fam, used + fresh, c)
-                fam.pop()
+        codes = _first_occurrence(m, used)
+        if fam:
+            codes &= -(2 << fam[-1])  # members increase
+        for c in iter_bits(codes):
+            fam.append(c)
+            rec(fam, max(used, c.bit_length()))
+            fam.pop()
 
-    rec([], 0, -1)
-    if best_count < 0:
-        # r exceeds the number of distinct nonempty subsets, so any family of
-        # r distinct subsets uses the empty set and admits no partner at all.
-        best_count = 0
-    return CrossIntersectingResult(r, m, best_count, best_family, best_partners)
+    rec([], 0)
+    count, family, partners = best
+    return CrossIntersectingResult(r, m, count, family, tuple(iter_bits(partners)))
 
 
 def bipartite_index_upper_bound(r: int, s: int) -> int:

@@ -1,5 +1,6 @@
 """Command line interface: formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -104,6 +105,16 @@ class TestCheck:
         assert obj["violations"] == [
             {"set": [0], "vertex": 1, "candidates": [0]}
         ]
+
+    def test_invalid_labeling_checks_no_set(self, tmp_path):
+        lab = tmp_path / "lab.json"
+        lab.write_text(json.dumps({"ground_set_size": 2, "labels": [[0], [0], [1]]}))
+        code, obj = run_cli_json(
+            ["check", "--graph", "complete:3", "--labeling", str(lab), "--set", "0"]
+        )
+        assert code == OK
+        assert obj["labeling_valid"] is False and obj["sets_checked"] == 1
+        assert obj["verdict"] is False and obj["violations"] == []
 
     def test_malformed_labeling_json_is_format_error(self, tmp_path):
         lab = tmp_path / "lab.json"
@@ -318,6 +329,27 @@ class TestNbd:
         code, _ = run_cli(["nbd", "--graph", "matching:2", "--allbut", "0"])
         assert code == USAGE
 
+    # on C5 the open labeling serves {0, 1} but not {0, 2}: vertex 1's label
+    # {0, 2} misses {1, 4} and {1, 3}; on P4 {0, 2} dominates and {0} does not
+    @pytest.mark.parametrize("labeling, graph, target, verdict", [
+        ("open", "cycle:5", "0,1", True),
+        ("open", "cycle:5", "0,2", False),
+        ("closed", "path:4", "0,2", True),
+        ("closed", "path:4", "0", False),
+    ])
+    def test_set_mode(self, labeling, graph, target, verdict):
+        code, obj = run_cli_json(["nbd", "--graph", graph, "--labeling", labeling, "--set", target])
+        assert code == OK
+        assert obj["rule"] == f"{labeling}_set" and obj["verdict"] is verdict
+
+    @pytest.mark.parametrize("labeling", ["open", "complemented", "closed"])
+    def test_allbut_on_order_one_is_usage(self, labeling):
+        code, obj = run_cli_json(
+            ["nbd", "--graph", "complete:1", "--labeling", labeling, "--allbut", "0"]
+        )
+        assert code == USAGE
+        assert obj["error"]["message"] == "the all-but-one set is empty on an order-1 graph"
+
 
 class TestLinegraph:
     def test_injective(self):
@@ -395,11 +427,35 @@ def _drop_first_edge(two_path_graph):
     return wrong
 
 
-# Per-graph facts and per-set tests of the nbd-oracle sweep, each made wrong.
+def _negate(real):
+    return lambda G: not real(G)
+
+
+def _negate_injective(real):
+    def wrong(G):
+        rep = real(G)
+        return dataclasses.replace(rep, injective=not rep.injective)
+    return wrong
+
+
+def _one_too_many(real):
+    def wrong(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, index=res.index + 1)
+    return wrong
+
+
+# What each sweep suite compares with its oracle, each made wrong:
+# cli name -> (suite, wrong version of the real function)
 WRONG_CRITERIA = {
-    "two_path_graph": _drop_first_edge,
-    "is_point_determining": lambda real: lambda G: True,
-    "complemented_escapes": lambda real: lambda G, D: real(G, D & (D - 1) or D),  # D less its lowest vertex
+    "two_path_graph": ("nbd-oracle", _drop_first_edge),
+    "is_point_determining": ("nbd-oracle", lambda real: lambda G: True),
+    # D less its lowest vertex
+    "complemented_escapes": ("nbd-oracle", lambda real: lambda G, D: real(G, D & (D - 1) or D)),
+    "neighborhood_complete": ("nbd-oracle", _negate),
+    "complemented_complete": ("nbd-oracle", _negate),
+    "line_injectivity_report": ("lg-injectivity", _negate_injective),
+    "interference_index": ("index-kn", _one_too_many),
 }
 
 
@@ -454,8 +510,9 @@ class TestSweep:
     def test_catches_a_wrong_criterion(self, monkeypatch, name):
         from interfere import cli
 
-        monkeypatch.setattr(cli, name, WRONG_CRITERIA[name](getattr(cli, name)))
-        code, obj = run_cli_json(["sweep", "--suite", "nbd-oracle", "--max-n", "5"])
+        suite, wrong = WRONG_CRITERIA[name]
+        monkeypatch.setattr(cli, name, wrong(getattr(cli, name)))
+        code, obj = run_cli_json(["sweep", "--suite", suite, "--max-n", "5"])
         assert code == OK
         assert obj["mismatch_count"] > 0 and obj["ok"] is False
 
@@ -468,7 +525,7 @@ class TestSweep:
         from interfere import cli
 
         real = cli.complemented_escapes
-        escapes = WRONG_CRITERIA["complemented_escapes"](real) if wrong else real
+        escapes = WRONG_CRITERIA["complemented_escapes"][1](real) if wrong else real
         monkeypatch.setattr(cli, "complemented_escapes", escapes)
         p = tmp_path / "graphs.g6"
         p.write_text("\n".join(self.SAMPLED) + "\n")

@@ -21,6 +21,7 @@ from interfere import (
     universal_upper_bound,
 )
 
+from interfere.bitset import bit_list
 from interfere.cli import bipartition
 from interfere.core import expand_pattern
 from interfere.index_search import _constraints_for, _Kernel
@@ -42,6 +43,34 @@ CROSS_TABLE = {
     (2, 1): 0, (2, 2): 1, (2, 3): 4, (2, 4): 12, (2, 5): 28,
     (3, 2): 0, (3, 3): 2, (3, 4): 10,
     (4, 2): 0, (4, 3): 2, (4, 4): 8,
+}
+
+# max_cross_intersecting(r, m) for every r <= 4, m <= 6 with 2^m >= r, as
+# (value, family codes, partner codes as one mask).  The family is the first
+# best one in increasing first-occurrence order, so this pins that order too.
+CROSS_PINNED = {
+    (1, 1): (0, (0,), 0x0),
+    (1, 2): (2, (3,), 0x6),
+    (1, 3): (6, (7,), 0x7e),
+    (1, 4): (14, (15,), 0x7ffe),
+    (1, 5): (30, (31,), 0x7ffffffe),
+    (1, 6): (62, (63,), 0x7ffffffffffffffe),
+    (2, 1): (0, (0, 1), 0x0),
+    (2, 2): (1, (1, 2), 0x8),
+    (2, 3): (4, (3, 7), 0x66),
+    (2, 4): (12, (7, 15), 0x7e7e),
+    (2, 5): (28, (15, 31), 0x7ffe7ffe),
+    (2, 6): (60, (31, 63), 0x7ffffffe7ffffffe),
+    (3, 2): (0, (0, 1, 2), 0x0),
+    (3, 3): (2, (1, 2, 5), 0x88),
+    (3, 4): (10, (7, 11, 15), 0x766e),
+    (3, 5): (26, (15, 23, 31), 0x7f7e7efe),
+    (3, 6): (58, (31, 47, 63), 0x7fff7ffe7ffefffe),
+    (4, 2): (0, (0, 1, 2, 3), 0x0),
+    (4, 3): (2, (1, 2, 5, 6), 0x88),
+    (4, 4): (8, (3, 7, 11, 15), 0x6666),
+    (4, 5): (24, (7, 15, 23, 31), 0x7e7e7e7e),
+    (4, 6): (56, (15, 31, 47, 63), 0x7ffe7ffe7ffe7ffe),
 }
 
 
@@ -525,9 +554,20 @@ class TestCrossIntersecting:
     def test_frozen_table(self, r, m):
         assert max_cross_intersecting(r, m).value == CROSS_TABLE[(r, m)]
 
+    @pytest.mark.parametrize("r,m", sorted(CROSS_PINNED))
+    def test_pinned_result(self, r, m):
+        value, family, partners = CROSS_PINNED[(r, m)]
+        assert max_cross_intersecting(r, m).as_dict() == {
+            "r": r,
+            "m": m,
+            "value": value,
+            "family": [bit_list(c) for c in family],
+            "partners": [bit_list(c) for c in range(1 << m) if partners >> c & 1],
+        }
+
     @pytest.mark.parametrize(
         "r,m",
-        [(r, m) for r in (1, 2, 3) for m in (1, 2, 3) if (1 << m) >= r],
+        [(r, m) for r in (1, 2, 3, 4) for m in (1, 2, 3, 4) if (1 << m) >= r] + [(3, 5), (4, 5)],
     )
     def test_agrees_with_literal_enumeration(self, r, m):
         assert max_cross_intersecting(r, m).value == brute_max_cross_intersecting(r, m)

@@ -171,6 +171,12 @@ class TestCompleteness:
             want = rep.valid and is_complete_interference(rep.labeling)
             assert line_complete_report(G).verdict == want, itf.to_graph6(G)
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_diameter_clause_matches_networkx(self, n):
+        for G in itf.connected_graphs(n):
+            want = nx.diameter(nx.line_graph(nx.Graph(list(G.edges)))) <= 2
+            assert line_complete_report(G).clauses["line_diameter_le_2"] == want, itf.to_graph6(G)
+
     def test_necessary_clauses_never_reject_a_true_verdict(self):
         for G in itf.connected_graphs_upto(6):
             if G.n < 3:
