@@ -71,7 +71,7 @@ from .families import (
 from .graphs import (
     INFINITY,
     Graph,
-    bfs_distances,
+    bfs_layers,
     closed_neighborhood,
     complemented_neighborhood,
     components,

@@ -49,7 +49,7 @@ from .errors import (
 from .families import complete, parse_family_spec
 from .graphs import (
     Graph,
-    bfs_distances,
+    bfs_layers,
     check_has_edge,
     components,
     fingerprint,
@@ -163,8 +163,7 @@ def bipartition(G: Graph) -> Tuple[int, int]:
     """Two-color the graph; raises ValueError when an odd cycle blocks it."""
     U = 0
     for comp in components(G):
-        dist = bfs_distances(G, (comp & -comp).bit_length() - 1)
-        U |= mask_of(v for v in iter_bits(comp) if dist[v] % 2 == 0)
+        U |= sum(bfs_layers(G, (comp & -comp).bit_length() - 1)[::2])
     if any((U >> u & 1) == (U >> v & 1) for u, v in G.edges):
         raise ValueError("cross-pairs needs a bipartite graph")
     return U, G.full_mask & ~U
@@ -278,7 +277,7 @@ def cmd_index(args) -> dict:
         "budget": budget,
     }
     try:
-        res = interference_index(G, P, budget=budget, max_m=args.max_m)
+        res = interference_index(G, P, budget=budget)
     except NoDominatingSetError as exc:
         report.update({"defined": False, "reason": str(exc)})
         return report
@@ -604,7 +603,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--pattern", default="all-dominating",
                    help="singletons | min-dominating | all-dominating | cross-pairs | explicit:FILE")
-    p.add_argument("--max-m", type=int, default=None)
     p.add_argument("--budget", type=int, default=None,
                    help="search node budget (also via INTERFERE_BUDGET)")
     p.set_defaults(func=cmd_index)

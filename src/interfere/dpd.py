@@ -11,7 +11,7 @@ from __future__ import annotations
 from .bitset import check_set, iter_bits, mask_of
 from .core import SetLabeling, is_interference, is_valid_labeling
 from .families import complete
-from .graphs import Graph, bfs_distances, diameter, is_connected
+from .graphs import INFINITY, Graph, bfs_layers, diameter
 
 
 def distance_pattern(G: Graph, M: int) -> SetLabeling:
@@ -20,14 +20,15 @@ def distance_pattern(G: Graph, M: int) -> SetLabeling:
     Needs a connected graph; the labels are pairwise distinct iff M is a DPD set.
     """
     check_set(M, G.n, "marker set")
-    if not is_connected(G):
+    diam = diameter(G)
+    if diam == INFINITY:
         raise ValueError("distance patterns need a connected graph")
     patterns = [0] * G.n
     for v in iter_bits(M):
-        dist = bfs_distances(G, v)
-        for u in G.vertices():
-            patterns[u] |= 1 << dist[u]
-    return SetLabeling(diameter(G) + 1, tuple(patterns))
+        for d, layer in enumerate(bfs_layers(G, v)):
+            for u in iter_bits(layer):
+                patterns[u] |= 1 << d
+    return SetLabeling(diam + 1, tuple(patterns))
 
 
 def is_dpd_set(G: Graph, M: int) -> bool:

@@ -93,9 +93,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1) if 0 <= v < self.n else False
-
     def edge_index(self, u: int, v: int) -> int:
         if self._edge_index is None:
             object.__setattr__(self, "_edge_index", {e: i for i, e in enumerate(self.edges)})
@@ -130,38 +127,33 @@ def complemented_neighborhood(G: Graph, u: int) -> int:
 # ---------------------------------------------------------------------------
 # distances
 
-def bfs_distances(G: Graph, source: int) -> List[Distance]:
-    """Distances from source to every vertex; INFINITY where unreachable."""
+def bfs_layers(G: Graph, source: int) -> List[int]:
+    """Vertex masks at distance 0, 1, 2, ... from source: disjoint, nonempty,
+    and their union is the component of source."""
     check_vertex(source, G.n)
-    dist: List[Distance] = [INFINITY] * G.n
-    dist[source] = 0
-    frontier = 1 << source
-    visited = frontier
-    d = 0
-    while frontier:
-        d += 1
+    layers = [1 << source]
+    seen = layers[0]
+    while seen != G.full_mask:
         nxt = 0
-        for v in iter_bits(frontier):
+        for v in iter_bits(layers[-1]):
             nxt |= G.adj[v]
-        nxt &= ~visited
-        for v in iter_bits(nxt):
-            dist[v] = d
-        visited |= nxt
-        frontier = nxt
-    return dist
-
-
-def diameter(G: Graph) -> Distance:
-    best: Distance = 0
-    for u in G.vertices():
-        for d in bfs_distances(G, u):
-            if d > best:
-                best = d
-    return best
+        nxt &= ~seen
+        if not nxt:
+            break
+        layers.append(nxt)
+        seen |= nxt
+    return layers
 
 
 def is_connected(G: Graph) -> bool:
-    return INFINITY not in bfs_distances(G, 0)
+    return sum(bfs_layers(G, 0)) == G.full_mask
+
+
+def diameter(G: Graph) -> Distance:
+    """Largest distance between two vertices; INFINITY when G is disconnected."""
+    if not is_connected(G):
+        return INFINITY
+    return max(len(bfs_layers(G, u)) for u in G.vertices()) - 1
 
 
 def components(G: Graph) -> List[int]:
@@ -169,18 +161,8 @@ def components(G: Graph) -> List[int]:
     out = []
     todo = G.full_mask
     while todo:
-        start = (todo & -todo).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= G.adj[v]
-            nxt &= ~comp
-            comp |= nxt
-            frontier = nxt
-        out.append(comp)
-        todo &= ~comp
+        out.append(sum(bfs_layers(G, (todo & -todo).bit_length() - 1)))
+        todo &= ~out[-1]
     return out
 
 

@@ -407,7 +407,6 @@ def interference_index(
     G: Graph,
     P: Pattern,
     budget: int = DEFAULT_BUDGET,
-    max_m: Optional[int] = None,
 ) -> IndexResult:
     """Smallest ground-set size admitting a P-interference, with phase trace.
 
@@ -421,15 +420,12 @@ def interference_index(
     constraints = _constraints_for(G, family)
     lower = index_lower_bound(G.n)
     upper = universal_upper_bound(G.n)
-    hi = upper if max_m is None else max_m
     trace: List[PhaseOutcome] = []
     witness, nodes = None, 0
-    if lower < upper and lower <= hi:
+    if lower < upper:
         witness, nodes = _phase(G, constraints, lower, budget, symmetry=True)
         trace.append(PhaseOutcome(lower, witness is not None, nodes))
     if witness is None:
-        if hi < upper:
-            raise CapExceededError(f"no interference found up to max_m={hi}")
         witness = build_complete_interference(G.n)
         trace.append(PhaseOutcome(upper, True, 0))
     return IndexResult(trace[-1].m, _checked(G, family, witness), lower, nodes, tuple(trace))
@@ -438,7 +434,7 @@ def interference_index(
 # ---------------------------------------------------------------------------
 # cross-intersecting families and complete-bipartite indices
 
-_R_CAP = 4  # max_cross_intersecting refuses larger families
+_R_CAP, _M_CAP = 4, 6  # max_cross_intersecting refuses larger families and ground sets
 
 
 @dataclass(frozen=True)
@@ -463,7 +459,7 @@ class CrossIntersectingResult:
         }
 
 
-def max_cross_intersecting(r: int, m: int, m_cap: int = 6) -> CrossIntersectingResult:
+def max_cross_intersecting(r: int, m: int) -> CrossIntersectingResult:
     """Exhaustive computation of the extremal cross-intersecting size.
 
     Enumerates the r-subfamily up to ground-set permutation only, in
@@ -474,8 +470,8 @@ def max_cross_intersecting(r: int, m: int, m_cap: int = 6) -> CrossIntersectingR
     """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
-    if r > _R_CAP or m > m_cap:
-        raise CapExceededError(f"max_cross_intersecting capped at r <= {_R_CAP}, m <= {m_cap}")
+    if r > _R_CAP or m > _M_CAP:
+        raise CapExceededError(f"max_cross_intersecting capped at r <= {_R_CAP}, m <= {_M_CAP}")
     if (1 << m) < r:
         raise ValueError(f"cannot pick {r} distinct subsets of a {m}-set")
     sup = _meeting_codes(m)
@@ -517,18 +513,17 @@ def bipartite_index(r: int, s: int) -> int:
     """Interference index of the complete bipartite graph, via the extremal law.
 
     The index is the least m whose cross-intersecting capacity reaches the
-    larger side.  Always at most the closed-form upper bound; the tests pin
+    larger side.  The scan starts at ceil(log2(r+s+1)), since no smaller m
+    holds r+s distinct nonempty labels, and max_cross_intersecting's caps
+    bound it.  Always at most the closed-form upper bound; the tests pin
     equality on the r <= 4 window where it is certified.
     """
     if r < 1 or s < 1:
         raise ValueError("need r, s >= 1")
     if r > s:
         r, s = s, r
-    upper = bipartite_index_upper_bound(r, s)
-    for m in range(1, upper + 1):
-        if (1 << m) < r:
-            continue
-        if max_cross_intersecting(r, m, m_cap=max(6, upper)).value >= s:
+    for m in range(index_lower_bound(r + s), bipartite_index_upper_bound(r, s) + 1):
+        if max_cross_intersecting(r, m).value >= s:
             return m
     raise RuntimeError("extremal scan exceeded the certified upper bound (bug)")
 

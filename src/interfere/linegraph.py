@@ -17,7 +17,6 @@ Edge sets are int bitmasks over canonical edge indices (Graph.edges order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, List, Tuple
 
 from .bitset import bit_list
@@ -36,25 +35,20 @@ def edge_mask(G: Graph, pairs: Iterable[Tuple[int, int]]) -> int:
     return mask
 
 
-def _has_spanning_path(G: Graph, verts: List[int]) -> bool:
-    for order in permutations(verts):
-        if all(G.has_edge(order[i], order[i + 1]) for i in range(len(order) - 1)):
-            return True
-    return False
-
-
 def _component_kinds(G: Graph) -> List[Tuple[str, List[int]]]:
     """(kind, vertices) per component: 'K2', 'sandwich' or 'other'.
 
     A sandwich component has exactly four vertices carrying a spanning path;
     those are precisely the components squeezed between the 4-path and K4.
+    The only connected graph on four vertices without a spanning path is the
+    star K1,3, the one whose degrees are 1, 1, 1, 3.
     """
     out = []
     for comp in components(G):
         verts = bit_list(comp)
         if len(verts) == 2:
             kind = "K2"
-        elif len(verts) == 4 and _has_spanning_path(G, verts):
+        elif len(verts) == 4 and sorted(map(G.degree, verts)) != [1, 1, 1, 3]:
             kind = "sandwich"
         else:
             kind = "other"

@@ -52,6 +52,11 @@ def neighbor_sets(G: Graph):
     return [frozenset(s) for s in nbrs]
 
 
+def has_edge(G: Graph, u: int, v: int) -> bool:
+    """Whether uv is an edge, read off the edge list."""
+    return (min(u, v), max(u, v)) in G.edges
+
+
 def random_labeling(n: int, m: int, rng: random.Random) -> SetLabeling:
     """Uniformly chosen valid labeling: n distinct nonempty subsets of {0..m-1}."""
     if (1 << m) - 1 < n:

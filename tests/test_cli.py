@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -189,13 +190,9 @@ class TestIndex:
         assert code == OK
         assert obj["defined"] is False and "reason" in obj
 
-    def test_undefined_wins_over_max_m(self, tmp_path):
-        sets = tmp_path / "sets.json"
-        sets.write_text(json.dumps([[0]]))
-        code, obj = run_cli_json(
-            ["index", "--graph", "path:3", "--pattern", f"explicit:{sets}", "--max-m", "0"]
-        )
-        assert code == OK and obj["defined"] is False
+    def test_max_m_is_not_an_option(self):
+        code, obj = run_cli_json(["index", "--graph", "path:3", "--max-m", "3"])
+        assert code == USAGE and obj["error"]["kind"] == "usage"
 
     def test_cross_pairs_on_bipartite_graph(self):
         code, obj = run_cli_json(["index", "--graph", "kpq:2,3", "--pattern", "cross-pairs"])
@@ -280,6 +277,10 @@ class TestBrm:
     def test_cap_exit(self):
         code, out = run_cli(["brm", "--r", "2", "--m", "9"])
         assert code == BUDGET
+
+    def test_krs_cap_exit(self):
+        code, obj = run_cli_json(["brm", "--krs", "4,57"])
+        assert code == BUDGET and obj["error"]["kind"] == "budget"
 
     def test_requires_some_mode(self):
         code, _ = run_cli(["brm"])
@@ -604,7 +605,7 @@ class TestHarness:
         from interfere import cli
 
         calls = [
-            ["index", "--graph", "cycle:5", "--max-m", "x"],
+            ["index", "--graph", "cycle:5", "--budget", "x"],
             ["index", "--graph", "cycle:5"],
             ["nbd", "--graph", "cycle:5"],
         ]
@@ -640,3 +641,36 @@ def test_closed_stdout_exits_one_without_traceback(argv):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1, err
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def _readme_commands():
+    """The sh block of the README's "Command line" section, as its printf
+    writes ((text, file) pairs) and its `interfere ...` argument lists."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    writes, calls = [], []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["printf"]:
+            writes.append((words[1], words[3]))
+        elif words[:1] == ["interfere"]:
+            calls.append(words[1:])
+    return writes, calls
+
+
+README_WRITES, README_CALLS = _readme_commands()
+
+
+def test_readme_block_is_read():
+    assert README_CALLS and README_WRITES == [("[[5]]", "hub.json")]
+
+
+@pytest.mark.parametrize("argv", README_CALLS, ids=" ".join)
+def test_readme_command_exits_zero(argv, tmp_path, monkeypatch):
+    """Each README example runs as written, in a directory holding the
+    files the block writes."""
+    monkeypatch.chdir(tmp_path)
+    for content, name in README_WRITES:
+        (tmp_path / name).write_text(content)
+    code, out = run_cli(argv)
+    assert code == OK, out

@@ -109,7 +109,6 @@ def cli_calls(draw, input_file, missing):
             argv += ["--pattern", pattern]
     elif cmd == "index":
         argv += ["--graph", graph, "--pattern", pattern, "--budget", draw(small_ints(-1, 5000))]
-        maybe("--max-m", small_ints(-1, 6))
     elif cmd == "brm":
         if draw(st.booleans()):
             argv += ["--krs", draw(st.builds(lambda r, s: f"{r},{s}", small_ints(), small_ints()))]

@@ -137,7 +137,7 @@ def test_target_set_guards(name):
 VERTEX_CRITERIA = {
     "neighborhood_singleton": lambda v: itf.neighborhood_singleton(_C5, v),
     "neighborhood_all_but_one": lambda v: itf.neighborhood_all_but_one(_C5, v),
-    "bfs_distances": lambda v: itf.bfs_distances(_C5, v),
+    "bfs_layers": lambda v: itf.bfs_layers(_C5, v),
 }
 
 

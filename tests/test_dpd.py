@@ -14,10 +14,13 @@ from interfere import (
     dpd_interference_check,
     is_dpd_set,
     is_interference,
+    iter_bits,
     mask_of,
     path,
     path_dpd_set,
 )
+
+from oracles import set_distances
 
 
 class TestDistancePattern:
@@ -34,6 +37,18 @@ class TestDistancePattern:
             [1, 2],
             [0, 3],
         ]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_labels_match_set_distances(self, n):
+        """Label u holds d(u, v) for each marker v, over {0..diameter}, for
+        every marker set of size one or two."""
+        for G in itf.connected_graphs(n):
+            dist = [set_distances(G, v) for v in G.vertices()]
+            ground = max(max(d.values()) for d in dist) + 1
+            for M in {1 << a | 1 << b for a in range(n) for b in range(a, n)}:
+                want = tuple(mask_of(dist[v][u] for v in iter_bits(M)) for u in G.vertices())
+                f = distance_pattern(G, M)
+                assert (f.ground_size, f.labels) == (ground, want), (itf.to_graph6(G), M)
 
     def test_ground_set_is_diameter_plus_one(self):
         for G in (path(6), cycle(7), complete(4)):

@@ -12,6 +12,8 @@ from interfere import (
     parse_family_spec,
 )
 
+from oracles import has_edge
+
 
 class TestBasicFamilies:
     def test_path(self):
@@ -33,8 +35,8 @@ class TestBasicFamilies:
     def test_complete_bipartite(self):
         G = itf.complete_bipartite(2, 3)
         assert G.n == 5 and G.m == 6
-        assert all(not G.has_edge(0, 1) for _ in [0])
-        assert not G.has_edge(2, 3) and G.has_edge(0, 2)
+        assert all(not has_edge(G, 0, 1) for _ in [0])
+        assert not has_edge(G, 2, 3) and has_edge(G, 0, 2)
 
     def test_star_is_bipartite_one_n(self):
         assert certificate(itf.star(4)) == certificate(itf.complete_bipartite(1, 4))
@@ -49,8 +51,8 @@ class TestWheelLike:
         G = itf.wheel(5)
         assert G.n == 6
         for i in range(5):
-            assert G.has_edge(i, (i + 1) % 5)
-            assert G.has_edge(i, 5)
+            assert has_edge(G, i, (i + 1) % 5)
+            assert has_edge(G, i, 5)
 
     def test_wheel_three_is_k4(self):
         assert certificate(itf.wheel(3)) == certificate(itf.complete(4))
@@ -65,8 +67,8 @@ class TestWheelLike:
         G = itf.helm(n)
         assert G.n == 2 * n + 1
         for i in range(n):
-            assert G.has_edge(i, n)              # spoke to the center
-            assert G.has_edge(i, n + 1 + i)      # pendant of cycle vertex i
+            assert has_edge(G, i, n)              # spoke to the center
+            assert has_edge(G, i, n + 1 + i)      # pendant of cycle vertex i
             assert G.degree(n + 1 + i) == 1
 
     def test_crown_numbering(self):
@@ -74,8 +76,8 @@ class TestWheelLike:
         G = itf.crown(n)
         assert G.n == 2 * n
         for i in range(n):
-            assert G.has_edge(i, (i + 1) % n)
-            assert G.has_edge(i, n + i)
+            assert has_edge(G, i, (i + 1) % n)
+            assert has_edge(G, i, n + i)
             assert G.degree(n + i) == 1
 
     def test_star_polygon_numbering(self):
@@ -84,7 +86,7 @@ class TestWheelLike:
         assert G.n == 2 * n
         for i in range(n):
             apex = n + i
-            assert G.has_edge(i, apex) and G.has_edge((i + 1) % n, apex)
+            assert has_edge(G, i, apex) and has_edge(G, (i + 1) % n, apex)
             assert G.degree(apex) == 2
 
 

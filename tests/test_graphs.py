@@ -25,7 +25,10 @@ from interfere import (
     wheel,
 )
 
+from interfere.cli import bipartition
+
 from oracles import (
+    has_edge,
     independence_number,
     induced_subgraph,
     neighbor_sets,
@@ -122,9 +125,43 @@ class TestMetrics:
             H = to_nx(G)
             for u in G.vertices():
                 lengths = nx.single_source_shortest_path_length(H, u)
-                for v in G.vertices():
-                    want = lengths.get(v, INFINITY)
-                    assert itf.bfs_distances(G, u)[v] == want
+                want = [0] * (max(lengths.values()) + 1)
+                for v, d in lengths.items():
+                    want[d] |= 1 << v
+                assert itf.bfs_layers(G, u) == want
+
+    @staticmethod
+    def graphs():
+        """Every graph of order 1-6, disconnected ones included, then seeded
+        random graphs of order up to 12."""
+        for n in range(1, 7):
+            yield from itf.all_graphs(n)
+        rng = random.Random(19)
+        for _ in range(80):
+            n = rng.randrange(1, 13)
+            yield Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.2])
+
+    def test_connectivity_matches_networkx(self):
+        for G in self.graphs():
+            H = to_nx(G)
+            want = sorted(sorted(c) for c in nx.connected_components(H))
+            assert [bit_list(c) for c in itf.components(G)] == want, to_graph6(G)
+            assert itf.is_connected(G) == nx.is_connected(H), to_graph6(G)
+            want_diameter = nx.diameter(H) if nx.is_connected(H) else INFINITY
+            assert diameter(G) == want_diameter, to_graph6(G)
+
+    def test_bipartition_matches_networkx(self):
+        """The sides partition V, every edge crosses, each component's lowest
+        vertex is on the first side, and an odd cycle is a ValueError."""
+        for G in self.graphs():
+            if not nx.is_bipartite(to_nx(G)):
+                with pytest.raises(ValueError, match="cross-pairs needs a bipartite graph"):
+                    bipartition(G)
+                continue
+            U, W = bipartition(G)
+            assert U | W == G.full_mask and U & W == 0, to_graph6(G)
+            assert all(U >> u & 1 != U >> v & 1 for u, v in G.edges), to_graph6(G)
+            assert all(U & comp & -comp for comp in itf.components(G)), to_graph6(G)
 
     def test_diameter_cases(self):
         assert diameter(complete(5)) == 1
@@ -152,7 +189,7 @@ class TestMetrics:
             best = 0
             for r in range(n, 0, -1):
                 if any(
-                    all(not G.has_edge(a, b) for a, b in itertools.combinations(c, 2))
+                    all(not has_edge(G, a, b) for a, b in itertools.combinations(c, 2))
                     for c in itertools.combinations(range(n), r)
                 ):
                     best = r

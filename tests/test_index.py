@@ -471,9 +471,9 @@ class TestIndexMachinery:
         assert info.value.nodes == total
 
     def test_undominated_family_precedence(self):
-        # undefined before any phase, even when max_m leaves no phase to run
+        # undefined before any phase
         with pytest.raises(NoDominatingSetError):
-            interference_index(itf.path(3), Pattern.explicit([0b001]), max_m=0)
+            interference_index(itf.path(3), Pattern.explicit([0b001]))
         # a single m is checked first, and then the family answers None
         with pytest.raises(ValueError):
             exists_interference(itf.path(3), Pattern.explicit([0b001]), 0)
@@ -496,12 +496,6 @@ class TestIndexMachinery:
         monkeypatch.setattr(_Kernel, "search", lambda self: calls.append(self.m) or search(self))
         interference_index(complete(5), Pattern.all_dominating())
         assert calls == [3]
-        # a cap below L refuses without a search, a cap below U after one
-        for max_m, searched in ((2, []), (3, [3])):
-            calls.clear()
-            with pytest.raises(CapExceededError):
-                interference_index(complete(5), Pattern.all_dominating(), max_m=max_m)
-            assert calls == searched
         # L = U: the construction answers without a search
         for G, P, m in (
             (complete(4), Pattern.all_dominating(), 3),
@@ -512,10 +506,6 @@ class TestIndexMachinery:
             res = interference_index(G, P)
             assert calls == [] and res.index == m and res.nodes_explored == 0
             assert [(p.m, p.found, p.nodes) for p in res.trace] == [(m, True, 0)]
-
-    def test_max_m_cap(self):
-        with pytest.raises(CapExceededError):
-            interference_index(complete(6), Pattern.singletons(), max_m=3)
 
     def test_empty_family_collapses_to_injectivity_bound(self):
         res = interference_index(itf.path(3), Pattern.explicit([]))
@@ -659,6 +649,13 @@ class TestBipartiteIndex:
 
     def test_arguments_commute(self):
         assert itf.bipartite_index(2, 5) == itf.bipartite_index(5, 2)
+
+    def test_ground_set_cap_binds(self):
+        """max_cross_intersecting's m <= 6 cap bounds the scan: K4,56 is the
+        largest K4,s it answers."""
+        assert itf.bipartite_index(4, 56) == 6
+        with pytest.raises(CapExceededError):
+            itf.bipartite_index(4, 57)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
