@@ -34,6 +34,7 @@ from .core import (
 )
 from .domination import (
     all_dominating_sets,
+    dominating_family,
     is_dominating,
     is_minimal_dominating,
     minimal_dominating_sets,

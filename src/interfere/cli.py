@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .bitset import bit_list, check_vertex, iter_bits, mask_of
-from .catalog import all_graphs, connected_graphs, connected_graphs_upto
+from .catalog import MAX_CATALOG_N, all_graphs, connected_graphs, connected_graphs_upto
 from .core import (
     Pattern,
     SetLabeling,
@@ -37,7 +37,12 @@ from .core import (
     overlap_graph,
     overlap_violation,
 )
-from .domination import all_dominating_sets, is_dominating, minimal_dominating_sets
+from .domination import (
+    all_dominating_sets,
+    dominating_family,
+    is_dominating,
+    minimal_dominating_sets,
+)
 from .dpd import distance_pattern, dpd_interference_check, is_dpd_set, path_dpd_set
 from .errors import (
     CapExceededError,
@@ -442,6 +447,11 @@ def _target_sets(G: Graph, seed: int, samples: int) -> List[int]:
     return [rng.randrange(1, 1 << G.n) for _ in range(samples)]
 
 
+def _family(H: Optional[Graph]) -> int:
+    """dominating_family(H), and no set when H is not there."""
+    return 0 if H is None else dominating_family(H)
+
+
 def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
     graphs = _sweep_corpus(args)
     checks = 0
@@ -467,23 +477,39 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
             checks += 1
             if thm != orc:
                 mismatches.append({"graph6": g6, "kind": kind, "set": None})
-        # from order 6 on the draws repeat sets (by default 500 draws from
-        # 2^n - 1 sets), so each distinct D is decided once and its
-        # disagreeing kinds are replayed on every later draw: checks and
-        # mismatches still count every draw
-        wrong_kinds = {}
-        for D in _target_sets(G, args.seed, args.samples):
-            kinds = wrong_kinds.get(D)
-            if kinds is None:
-                kinds = wrong_kinds[D] = [kind for kind, thm, orc in (
-                    ("open_set", two_path is not None and is_dominating(two_path, D),
-                     h_open is not None and is_dominating(h_open, D)),
-                    ("complemented_set", comp_valid and complemented_escapes(G, D),
-                     h_comp is not None and is_dominating(h_comp, D)),
-                ) if thm != orc]
-            checks += 2  # open_set and complemented_set
-            for kind in kinds:
-                mismatches.append({"graph6": g6, "kind": kind, "set": bit_list(D)})
+        # open_set and complemented_set, once per target set, repeats included
+        checks += 2 * ((1 << G.n) - 1 if G.n <= _EXHAUSTIVE_SWEEP_N else args.samples)
+        if G.n <= MAX_CATALOG_N:
+            # at most 255 sets: bit D of each mask is set when the criterion
+            # and the oracle disagree on D, so every D is decided once and
+            # the draws are made only to count a disagreement
+            escapes = sum(
+                1 << D for D in range(1, 1 << G.n) if complemented_escapes(G, D)
+            ) if comp_valid else 0
+            open_bad = _family(two_path) ^ _family(h_open)
+            comp_bad = escapes ^ _family(h_comp)
+            if not open_bad | comp_bad:
+                continue
+            wrong = {"open_set": set(iter_bits(open_bad)),
+                     "complemented_set": set(iter_bits(comp_bad))}
+            draws = _target_sets(G, args.seed, args.samples)
+        else:
+            # larger graphs come from --graphs-file; each distinct draw is
+            # decided once, since 2^n tables would outgrow the draws
+            draws = _target_sets(G, args.seed, args.samples)
+            distinct = set(draws)
+            wrong = {
+                "open_set": {D for D in distinct if (
+                    two_path is not None and is_dominating(two_path, D)
+                ) != (h_open is not None and is_dominating(h_open, D))},
+                "complemented_set": {D for D in distinct if (
+                    comp_valid and complemented_escapes(G, D)
+                ) != (h_comp is not None and is_dominating(h_comp, D))},
+            }
+        for D in draws:
+            for kind, bad in wrong.items():
+                if D in bad:
+                    mismatches.append({"graph6": g6, "kind": kind, "set": bit_list(D)})
     return len(graphs), checks, mismatches
 
 

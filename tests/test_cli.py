@@ -517,9 +517,40 @@ class TestSweep:
         assert code == OK
         assert obj["mismatch_count"] > 0 and obj["ok"] is False
 
-    # point-determining graphs of order 6 and 7, and the wheel on 7 vertices;
-    # 400 draws from 63 or 127 sets repeat most of them
-    SAMPLED = ["ELtw", "EhNW", "FJn^W", "FhENw"]
+    # (check_count, mismatch_count) of the nbd-oracle sweep to order 7 with
+    # each nbd-oracle criterion made wrong (None: all real), for --seed 3 with
+    # the default 500 draws and for --seed 5 --samples 37: deciding every set
+    # once and counting its draws must give what deciding each draw gives
+    PINNED_COUNTS = {
+        None: ((968_510, 0), (74_920, 0)),
+        "two_path_graph": ((968_510, 18_653), (74_920, 1_435)),
+        "is_point_determining": ((968_510, 158_083), (74_920, 11_832)),
+        "complemented_escapes": ((968_510, 28_263), (74_920, 2_066)),
+        "neighborhood_complete": ((968_510, 996), (74_920, 996)),
+        "complemented_complete": ((968_510, 996), (74_920, 996)),
+    }
+
+    def test_pinned_counts_cover_every_nbd_criterion(self):
+        nbd = {name for name, (suite, _) in WRONG_CRITERIA.items() if suite == "nbd-oracle"}
+        assert set(self.PINNED_COUNTS) == nbd | {None}
+
+    @pytest.mark.parametrize("column, flags", [(0, ["--seed", "3"]),
+                                               (1, ["--seed", "5", "--samples", "37"])],
+                             ids=["seed3", "seed5-samples37"])
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS, key=str))
+    def test_pinned_counts(self, monkeypatch, name, column, flags):
+        from interfere import cli
+
+        if name is not None:
+            monkeypatch.setattr(cli, name, WRONG_CRITERIA[name][1](getattr(cli, name)))
+        code, obj = run_cli_json(["sweep", "--suite", "nbd-oracle", "--max-n", "7", *flags])
+        assert code == OK
+        assert (obj["check_count"], obj["mismatch_count"]) == self.PINNED_COUNTS[name][column]
+
+    # point-determining graphs of order 6 and 7, the wheel on 7 vertices, and
+    # one of order 9, above the catalog's order, whose draws are each decided
+    # on their own; 400 draws from 63, 127 or 511 sets repeat many of them
+    SAMPLED = ["ELtw", "EhNW", "FJn^W", "FhENw", "HXeuPV{"]
 
     @pytest.mark.parametrize("wrong", [False, True], ids=["real", "wrong-complemented"])
     def test_sampled_orders_count_every_draw(self, monkeypatch, tmp_path, wrong):

@@ -1,6 +1,7 @@
 """Dominating-set predicates and minimal dominating set enumeration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -26,6 +27,33 @@ class TestIsDominating:
         G = itf.Graph(3, [(0, 1)])
         assert not itf.is_dominating(G, mask_of([0]))
         assert itf.is_dominating(G, mask_of([0, 2]))
+
+
+class TestDominatingFamily:
+    @staticmethod
+    def _filtered(G):
+        return mask_of(D for D in range(1 << G.n) if itf.is_dominating(G, D))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_per_set_predicate(self, n):
+        for G in itf.all_graphs(n):
+            assert itf.dominating_family(G) == self._filtered(G), itf.to_graph6(G)
+
+    def test_matches_on_random_graphs(self):
+        rng = random.Random(20)
+        for n in range(7, 13):
+            for p in (0.2, 0.5, 0.8):
+                edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+                G = itf.Graph(n, edges)
+                assert itf.dominating_family(G) == self._filtered(G), itf.to_graph6(G)
+
+    def test_cap(self):
+        # at the cap the edgeless graph is dominated by V alone
+        assert itf.dominating_family(itf.Graph(16)) == 1 << (1 << 16) - 1
+        with pytest.raises(itf.CapExceededError):
+            itf.dominating_family(itf.Graph(17))
+        with pytest.raises(itf.CapExceededError):
+            itf.all_dominating_sets(itf.Graph(17))
 
 
 class TestMinimality:
