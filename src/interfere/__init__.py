@@ -120,6 +120,7 @@ from .neighborhood import (
     LabelingReport,
     closed_labeling,
     complemented_complete,
+    complemented_escape_family,
     complemented_escapes,
     complemented_interference_of,
     complemented_labeling,

@@ -86,6 +86,7 @@ from .linegraph import (
 from .neighborhood import (
     closed_labeling,
     complemented_complete,
+    complemented_escape_family,
     complemented_escapes,
     complemented_interference_of,
     complemented_labeling,
@@ -456,9 +457,10 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
     graphs = _sweep_corpus(args)
     checks = 0
     mismatches = []
+    Kn = None
     for G in graphs:
-        g6 = to_graph6(G)
-        Kn = complete(G.n)
+        if Kn is None or Kn.n != G.n:
+            Kn = complete(G.n)
         nrep = neighborhood_labeling(G)
         crep = complemented_labeling(G)
         # the definitional route: each labeling's overlap graph, built once
@@ -468,31 +470,26 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
         two_path = two_path_graph(G)
         comp_valid = is_point_determining(G)
 
-        for kind, thm, orc in (
+        found = [(kind, None) for kind, thm, orc in (
             ("open_complete", neighborhood_complete(G),
              nrep.valid and is_complete_interference(nrep.labeling)),
             ("complemented_complete", complemented_complete(G),
              crep.valid and is_complete_interference(crep.labeling)),
-        ):
-            checks += 1
-            if thm != orc:
-                mismatches.append({"graph6": g6, "kind": kind, "set": None})
-        # open_set and complemented_set, once per target set, repeats included
-        checks += 2 * ((1 << G.n) - 1 if G.n <= _EXHAUSTIVE_SWEEP_N else args.samples)
+        ) if thm != orc]
+        # the two complete kinds, then open_set and complemented_set once per
+        # target set, repeats included
+        checks += 2 + 2 * ((1 << G.n) - 1 if G.n <= _EXHAUSTIVE_SWEEP_N else args.samples)
+        draws: List[int] = []
         if G.n <= MAX_CATALOG_N:
             # at most 255 sets: bit D of each mask is set when the criterion
             # and the oracle disagree on D, so every D is decided once and
             # the draws are made only to count a disagreement
-            escapes = sum(
-                1 << D for D in range(1, 1 << G.n) if complemented_escapes(G, D)
-            ) if comp_valid else 0
             open_bad = _family(two_path) ^ _family(h_open)
-            comp_bad = escapes ^ _family(h_comp)
-            if not open_bad | comp_bad:
-                continue
-            wrong = {"open_set": set(iter_bits(open_bad)),
-                     "complemented_set": set(iter_bits(comp_bad))}
-            draws = _target_sets(G, args.seed, args.samples)
+            comp_bad = (complemented_escape_family(G) if comp_valid else 0) ^ _family(h_comp)
+            if open_bad | comp_bad:
+                wrong = {"open_set": set(iter_bits(open_bad)),
+                         "complemented_set": set(iter_bits(comp_bad))}
+                draws = _target_sets(G, args.seed, args.samples)
         else:
             # larger graphs come from --graphs-file; each distinct draw is
             # decided once, since 2^n tables would outgrow the draws
@@ -507,9 +504,11 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
                 ) != (h_comp is not None and is_dominating(h_comp, D))},
             }
         for D in draws:
-            for kind, bad in wrong.items():
-                if D in bad:
-                    mismatches.append({"graph6": g6, "kind": kind, "set": bit_list(D)})
+            found.extend((kind, bit_list(D)) for kind, bad in wrong.items() if D in bad)
+        if found:
+            g6 = to_graph6(G)
+            mismatches.extend({"graph6": g6, "kind": kind, "set": members}
+                              for kind, members in found)
     return len(graphs), checks, mismatches
 
 

@@ -17,7 +17,8 @@ a common triangle; two_path_graph builds its rows from the rows of G, not
 from the labels.  The singleton and all-but-one criteria, completeness and
 the distance-two sufficient rule read the same rows.  The complemented
 criterion is point-determinacy plus complemented_escapes, a test on the
-common neighborhood of D.
+common neighborhood of D; complemented_escape_family runs that test for
+every D at once, once per distinct common neighborhood.
 """
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ from typing import List, Optional, Tuple
 
 from .bitset import check_set, check_vertex, iter_bits
 from .core import SetLabeling
-from .domination import is_dominating
+from .domination import _CAP, is_dominating
+from .errors import CapExceededError
 from .graphs import (
     Graph,
     closed_neighborhood,
@@ -175,6 +177,14 @@ def complemented_interference_of(G: Graph, D: int) -> bool:
     return is_point_determining(G) and complemented_escapes(G, D)
 
 
+def _common_escapes(G: Graph, common: int) -> bool:
+    """The escape test of complemented_escapes, given common, the common
+    neighborhood of D: each u in common has a nonneighbor w outside common,
+    and w lies in the labels of u and of a member of D that w misses."""
+    full, adj = G.full_mask, G.adj
+    return all((adj[u] | common) != full for u in iter_bits(common))
+
+
 def complemented_escapes(G: Graph, D: int) -> bool:
     """Per-D half of the complemented criterion, for nonempty D.
 
@@ -182,10 +192,31 @@ def complemented_escapes(G: Graph, D: int) -> bool:
     nonneighbor that also misses some member of D, i.e. V \\ N(u) must
     escape the common neighborhood of D.  That neighborhood never meets D.
     """
-    common = G.full_mask
-    for v in iter_bits(D):
-        common &= G.adj[v]
-    return all((G.adj[u] | common) != G.full_mask for u in iter_bits(common))
+    common, adj = G.full_mask, G.adj
+    while D and common:
+        low = D & -D
+        common &= adj[low.bit_length() - 1]
+        D ^= low
+    return _common_escapes(G, common)
+
+
+def complemented_escape_family(G: Graph) -> int:
+    """The int whose bit D is set iff D is nonempty and
+    complemented_escapes(G, D) holds.
+
+    common[D] = common[D minus its highest vertex v] & N(v), from
+    common[empty] = V: the doubling of dominating_family.  Many sets share a
+    common neighborhood, so each distinct one is tested once.  V itself never
+    escapes, so bit 0 is clear.
+    """
+    if G.n > _CAP:
+        raise CapExceededError(f"complemented_escape_family: n={G.n} exceeds cap {_CAP}")
+    common = [G.full_mask]
+    for nv in G.adj:
+        common += [c & nv for c in common]
+    escapes = {c: "1" if _common_escapes(G, c) else "0" for c in set(common)}
+    bits = "".join(map(escapes.__getitem__, reversed(common)))
+    return int(bits, 2)
 
 
 def complemented_complete(G: Graph) -> bool:

@@ -446,18 +446,33 @@ def _one_too_many(real):
     return wrong
 
 
+def _family_of_lowest_dropped(complemented_escape_family):
+    """The table made wrong as complemented_escapes is: bit D read at D less
+    its lowest vertex."""
+    def wrong(G):
+        fam = complemented_escape_family(G)
+        return sum(1 << D for D in range(1, 1 << G.n) if fam >> (D & (D - 1) or D) & 1)
+    return wrong
+
+
 # What each sweep suite compares with its oracle, each made wrong:
 # cli name -> (suite, wrong version of the real function)
 WRONG_CRITERIA = {
     "two_path_graph": ("nbd-oracle", _drop_first_edge),
     "is_point_determining": ("nbd-oracle", lambda real: lambda G: True),
-    # D less its lowest vertex
+    # D less its lowest vertex, per set and in the table
     "complemented_escapes": ("nbd-oracle", lambda real: lambda G, D: real(G, D & (D - 1) or D)),
+    "complemented_escape_family": ("nbd-oracle", _family_of_lowest_dropped),
     "neighborhood_complete": ("nbd-oracle", _negate),
     "complemented_complete": ("nbd-oracle", _negate),
     "line_injectivity_report": ("lg-injectivity", _negate_injective),
     "interference_index": ("index-kn", _one_too_many),
 }
+
+# criteria the nbd-oracle sweep reaches only above the catalog's largest
+# order, so only through --graphs-file: name -> such a graph, on whose
+# default draws the wrong version disagrees with the real one
+ABOVE_CATALOG = {"complemented_escapes": "HXeuPV{"}
 
 
 class TestSweep:
@@ -508,31 +523,37 @@ class TestSweep:
         assert code == OK and obj["ok"] is True and obj["check_count"] > 0
 
     @pytest.mark.parametrize("name", sorted(WRONG_CRITERIA))
-    def test_catches_a_wrong_criterion(self, monkeypatch, name):
+    def test_catches_a_wrong_criterion(self, monkeypatch, tmp_path, name):
         from interfere import cli
 
         suite, wrong = WRONG_CRITERIA[name]
         monkeypatch.setattr(cli, name, wrong(getattr(cli, name)))
-        code, obj = run_cli_json(["sweep", "--suite", suite, "--max-n", "5"])
+        corpus = ["--max-n", "5"]
+        if name in ABOVE_CATALOG:
+            p = tmp_path / "graphs.g6"
+            p.write_text(ABOVE_CATALOG[name] + "\n")
+            corpus = ["--graphs-file", str(p)]
+        code, obj = run_cli_json(["sweep", "--suite", suite, *corpus])
         assert code == OK
         assert obj["mismatch_count"] > 0 and obj["ok"] is False
 
     # (check_count, mismatch_count) of the nbd-oracle sweep to order 7 with
-    # each nbd-oracle criterion made wrong (None: all real), for --seed 3 with
-    # the default 500 draws and for --seed 5 --samples 37: deciding every set
-    # once and counting its draws must give what deciding each draw gives
+    # each nbd-oracle criterion it calls made wrong (None: all real), for
+    # --seed 3 with the default 500 draws and for --seed 5 --samples 37:
+    # deciding every set once and counting its draws must give what deciding
+    # each draw gives
     PINNED_COUNTS = {
         None: ((968_510, 0), (74_920, 0)),
         "two_path_graph": ((968_510, 18_653), (74_920, 1_435)),
         "is_point_determining": ((968_510, 158_083), (74_920, 11_832)),
-        "complemented_escapes": ((968_510, 28_263), (74_920, 2_066)),
+        "complemented_escape_family": ((968_510, 28_263), (74_920, 2_066)),
         "neighborhood_complete": ((968_510, 996), (74_920, 996)),
         "complemented_complete": ((968_510, 996), (74_920, 996)),
     }
 
     def test_pinned_counts_cover_every_nbd_criterion(self):
         nbd = {name for name, (suite, _) in WRONG_CRITERIA.items() if suite == "nbd-oracle"}
-        assert set(self.PINNED_COUNTS) == nbd | {None}
+        assert set(self.PINNED_COUNTS) == nbd - set(ABOVE_CATALOG) | {None}
 
     @pytest.mark.parametrize("column, flags", [(0, ["--seed", "3"]),
                                                (1, ["--seed", "5", "--samples", "37"])],
@@ -557,7 +578,11 @@ class TestSweep:
         from interfere import cli
 
         real = cli.complemented_escapes
-        escapes = WRONG_CRITERIA["complemented_escapes"][1](real) if wrong else real
+        escapes = real
+        if wrong:  # on both routes: the table to order 8, per set above it
+            escapes = WRONG_CRITERIA["complemented_escapes"][1](real)
+            monkeypatch.setattr(cli, "complemented_escape_family", WRONG_CRITERIA[
+                "complemented_escape_family"][1](cli.complemented_escape_family))
         monkeypatch.setattr(cli, "complemented_escapes", escapes)
         p = tmp_path / "graphs.g6"
         p.write_text("\n".join(self.SAMPLED) + "\n")

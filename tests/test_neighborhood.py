@@ -9,11 +9,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import interfere as itf
 from interfere import (
     Graph,
     complemented_complete,
+    complemented_escape_family,
     complemented_escapes,
     complemented_interference_of,
     complemented_labeling,
@@ -347,6 +350,47 @@ class TestComplementedRoute:
             rep = complemented_labeling(G)
             want = rep.valid and is_complete_interference(rep.labeling)
             assert complemented_complete(G) == want, itf.to_graph6(G)
+
+
+def _escape_bits(G):
+    """complemented_escape_family(G), set by set."""
+    return sum(1 << D for D in range(1, 1 << G.n) if complemented_escapes(G, D))
+
+
+@st.composite
+def graphs_8_to_12(draw):
+    n = draw(st.integers(8, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+class TestComplementedEscapeFamily:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_per_set_test(self, n):
+        """Every graph, disconnected and non-point-determining ones too."""
+        for G in itf.all_graphs(n):
+            fam = complemented_escape_family(G)
+            assert fam == _escape_bits(G), itf.to_graph6(G)
+            assert not fam & 1
+
+    @settings(derandomize=True, deadline=None)
+    @given(graphs_8_to_12())
+    def test_matches_per_set_test_past_the_catalog(self, G):
+        fam = complemented_escape_family(G)
+        assert fam == _escape_bits(G)
+        assert not fam & 1
+
+    def test_anchors(self):
+        # K_n: common(D) = V minus D, whose members cover V with their rows
+        # unless it is empty
+        assert complemented_escape_family(complete(5)) == 1 << 31
+        # edgeless: no vertex is adjacent to all of a nonempty D
+        assert complemented_escape_family(Graph(16)) == (1 << (1 << 16)) - 2
+
+    def test_cap(self):
+        with pytest.raises(itf.CapExceededError):
+            complemented_escape_family(Graph(17))
 
 
 class TestSufficientRules:
