@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .bitset import bit_list, check_vertex, iter_bits, mask_of
-from .catalog import MAX_CATALOG_N, all_graphs, connected_graphs, connected_graphs_upto
+from .catalog import all_graphs, connected_graphs, connected_graphs_upto
 from .core import (
     Pattern,
     SetLabeling,
@@ -39,6 +39,7 @@ from .core import (
 )
 from .domination import (
     all_dominating_sets,
+    check_cap,
     dominating_family,
     is_dominating,
     minimal_dominating_sets,
@@ -87,7 +88,6 @@ from .neighborhood import (
     closed_labeling,
     complemented_complete,
     complemented_escape_family,
-    complemented_escapes,
     complemented_interference_of,
     complemented_labeling,
     complemented_sufficient_rule,
@@ -459,6 +459,7 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
     mismatches = []
     Kn = None
     for G in graphs:
+        check_cap("nbd-oracle sweep", G.n)  # 2^n-entry tables, whatever G is
         if Kn is None or Kn.n != G.n:
             Kn = complete(G.n)
         nrep = neighborhood_labeling(G)
@@ -466,10 +467,6 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
         # the definitional route: each labeling's overlap graph, built once
         h_open = overlap_graph(Kn, nrep.labeling) if nrep.valid else None
         h_comp = overlap_graph(Kn, crep.labeling) if crep.valid else None
-        # the structural route's per-graph facts, also built once
-        two_path = two_path_graph(G)
-        comp_valid = is_point_determining(G)
-
         found = [(kind, None) for kind, thm, orc in (
             ("open_complete", neighborhood_complete(G),
              nrep.valid and is_complete_interference(nrep.labeling)),
@@ -479,32 +476,16 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
         # the two complete kinds, then open_set and complemented_set once per
         # target set, repeats included
         checks += 2 + 2 * ((1 << G.n) - 1 if G.n <= _EXHAUSTIVE_SWEEP_N else args.samples)
-        draws: List[int] = []
-        if G.n <= MAX_CATALOG_N:
-            # at most 255 sets: bit D of each mask is set when the criterion
-            # and the oracle disagree on D, so every D is decided once and
-            # the draws are made only to count a disagreement
-            open_bad = _family(two_path) ^ _family(h_open)
-            comp_bad = (complemented_escape_family(G) if comp_valid else 0) ^ _family(h_comp)
-            if open_bad | comp_bad:
-                wrong = {"open_set": set(iter_bits(open_bad)),
-                         "complemented_set": set(iter_bits(comp_bad))}
-                draws = _target_sets(G, args.seed, args.samples)
-        else:
-            # larger graphs come from --graphs-file; each distinct draw is
-            # decided once, since 2^n tables would outgrow the draws
-            draws = _target_sets(G, args.seed, args.samples)
-            distinct = set(draws)
-            wrong = {
-                "open_set": {D for D in distinct if (
-                    two_path is not None and is_dominating(two_path, D)
-                ) != (h_open is not None and is_dominating(h_open, D))},
-                "complemented_set": {D for D in distinct if (
-                    comp_valid and complemented_escapes(G, D)
-                ) != (h_comp is not None and is_dominating(h_comp, D))},
-            }
-        for D in draws:
-            found.extend((kind, bit_list(D)) for kind, bad in wrong.items() if D in bad)
+        # bit D of each mask is set when the structural criterion and the
+        # oracle disagree on D, so every D is decided once; the draws are
+        # made only to list the disagreements, once per draw
+        open_bad = _family(two_path_graph(G)) ^ _family(h_open)
+        comp_valid = is_point_determining(G)
+        comp_bad = (complemented_escape_family(G) if comp_valid else 0) ^ _family(h_comp)
+        if open_bad | comp_bad:
+            for D in _target_sets(G, args.seed, args.samples):
+                found.extend((kind, bit_list(D)) for kind, bad in (
+                    ("open_set", open_bad), ("complemented_set", comp_bad)) if bad >> D & 1)
         if found:
             g6 = to_graph6(G)
             mismatches.extend({"graph6": g6, "kind": kind, "set": members}

@@ -1,11 +1,12 @@
 """Dominating sets and exact enumeration of the minimal ones.
 
 dominating_family decides every D ⊆ V at once, as one int whose bit D is set
-iff D dominates G; is_dominating decides one set.
+iff D dominates G, read off union_table, the package's one doubling builder
+of per-set tables; is_dominating decides one set.
 """
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 from .bitset import bit_list, iter_bits
 from .errors import CapExceededError
@@ -42,8 +43,7 @@ def minimal_dominating_sets(G: Graph) -> Tuple[int, ...]:
     dominators; sibling branches exclude earlier candidates so no chosen set
     is revisited.  Non-minimal leaves are filtered by the direct definition.
     """
-    if G.n > _CAP:
-        raise CapExceededError(f"minimal_dominating_sets: n={G.n} exceeds cap {_CAP}")
+    check_cap("minimal_dominating_sets", G.n)
     closed = [closed_neighborhood(G, v) for v in G.vertices()]
     found = set()
 
@@ -67,18 +67,28 @@ def minimal_dominating_sets(G: Graph) -> Tuple[int, ...]:
     return _canonical_order(found)
 
 
-def dominating_family(G: Graph) -> int:
-    """The int whose bit D is set iff D dominates G (bit 0, the empty set, never).
+def check_cap(name: str, n: int) -> None:
+    """Refuse order n above the cap, naming the caller."""
+    if n > _CAP:
+        raise CapExceededError(f"{name}: n={n} exceeds cap {_CAP}")
 
-    covered[D] = covered[D minus its highest vertex v] | N[v]: each vertex
-    doubles the table, in one pass over the sets without it.
-    """
-    if G.n > _CAP:
-        raise CapExceededError(f"dominating_family: n={G.n} exceeds cap {_CAP}")
-    covered = [0]
-    for v in G.vertices():
-        nv = closed_neighborhood(G, v)
-        covered += [c | nv for c in covered]
+
+def union_table(name: str, rows: List[int]) -> List[int]:
+    """table[D] = table[D minus its highest vertex v] | rows[v], from
+    table[empty] = 0, so table[D] is the union of rows[v] over v in D: each
+    vertex doubles the table.  name, the caller, goes to check_cap."""
+    check_cap(name, len(rows))
+    table = [0]
+    for row in rows:
+        table += [t | row for t in table]
+    return table
+
+
+def dominating_family(G: Graph) -> int:
+    """The int whose bit D is set iff D dominates G (bit 0, the empty set,
+    never): D covers the union of N[v] over v in D."""
+    covered = union_table("dominating_family",
+                          [closed_neighborhood(G, v) for v in G.vertices()])
     full = G.full_mask
     return int("".join("1" if c == full else "0" for c in reversed(covered)), 2)
 

@@ -17,8 +17,8 @@ a common triangle; two_path_graph builds its rows from the rows of G, not
 from the labels.  The singleton and all-but-one criteria, completeness and
 the distance-two sufficient rule read the same rows.  The complemented
 criterion is point-determinacy plus complemented_escapes, a test on the
-common neighborhood of D; complemented_escape_family runs that test for
-every D at once, once per distinct common neighborhood.
+common neighborhood of D; complemented_escape_family runs it for every D
+at once, once per distinct common neighborhood, from domination.union_table.
 """
 from __future__ import annotations
 
@@ -27,8 +27,7 @@ from typing import List, Optional, Tuple
 
 from .bitset import check_set, check_vertex, iter_bits
 from .core import SetLabeling
-from .domination import _CAP, is_dominating
-from .errors import CapExceededError
+from .domination import is_dominating, union_table
 from .graphs import (
     Graph,
     closed_neighborhood,
@@ -204,19 +203,15 @@ def complemented_escape_family(G: Graph) -> int:
     """The int whose bit D is set iff D is nonempty and
     complemented_escapes(G, D) holds.
 
-    common[D] = common[D minus its highest vertex v] & N(v), from
-    common[empty] = V: the doubling of dominating_family.  Many sets share a
-    common neighborhood, so each distinct one is tested once.  V itself never
-    escapes, so bit 0 is clear.
+    V minus the common neighborhood of D is the union of V \\ N(v) over v
+    in D: union_table over the complemented rows.  Each distinct common
+    neighborhood is tested once; V itself never escapes, so bit 0 is clear.
     """
-    if G.n > _CAP:
-        raise CapExceededError(f"complemented_escape_family: n={G.n} exceeds cap {_CAP}")
-    common = [G.full_mask]
-    for nv in G.adj:
-        common += [c & nv for c in common]
-    escapes = {c: "1" if _common_escapes(G, c) else "0" for c in set(common)}
-    bits = "".join(map(escapes.__getitem__, reversed(common)))
-    return int(bits, 2)
+    full = G.full_mask
+    outside = union_table("complemented_escape_family",
+                          [complemented_neighborhood(G, v) for v in G.vertices()])
+    escapes = {c: "1" if _common_escapes(G, full ^ c) else "0" for c in set(outside)}
+    return int("".join(map(escapes.__getitem__, reversed(outside))), 2)
 
 
 def complemented_complete(G: Graph) -> bool:

@@ -446,12 +446,16 @@ def _one_too_many(real):
     return wrong
 
 
+def _lowest_dropped(D):
+    """D less its lowest vertex, and D itself when that leaves nothing."""
+    return D & (D - 1) or D
+
+
 def _family_of_lowest_dropped(complemented_escape_family):
-    """The table made wrong as complemented_escapes is: bit D read at D less
-    its lowest vertex."""
+    """The table made wrong: bit D read at D less its lowest vertex."""
     def wrong(G):
         fam = complemented_escape_family(G)
-        return sum(1 << D for D in range(1, 1 << G.n) if fam >> (D & (D - 1) or D) & 1)
+        return sum(1 << D for D in range(1, 1 << G.n) if fam >> _lowest_dropped(D) & 1)
     return wrong
 
 
@@ -460,19 +464,12 @@ def _family_of_lowest_dropped(complemented_escape_family):
 WRONG_CRITERIA = {
     "two_path_graph": ("nbd-oracle", _drop_first_edge),
     "is_point_determining": ("nbd-oracle", lambda real: lambda G: True),
-    # D less its lowest vertex, per set and in the table
-    "complemented_escapes": ("nbd-oracle", lambda real: lambda G, D: real(G, D & (D - 1) or D)),
     "complemented_escape_family": ("nbd-oracle", _family_of_lowest_dropped),
     "neighborhood_complete": ("nbd-oracle", _negate),
     "complemented_complete": ("nbd-oracle", _negate),
     "line_injectivity_report": ("lg-injectivity", _negate_injective),
     "interference_index": ("index-kn", _one_too_many),
 }
-
-# criteria the nbd-oracle sweep reaches only above the catalog's largest
-# order, so only through --graphs-file: name -> such a graph, on whose
-# default draws the wrong version disagrees with the real one
-ABOVE_CATALOG = {"complemented_escapes": "HXeuPV{"}
 
 
 class TestSweep:
@@ -497,6 +494,18 @@ class TestSweep:
             ["sweep", "--suite", "nbd-oracle", "--graphs-file", str(p)]
         )
         assert code == OK and obj["graph_count"] == 2 and obj["ok"] is True
+
+    # every set is decided from 2^n-entry tables, so order 17 is refused
+    # whatever the graph: also the edgeless one, where neither labeling is
+    # valid and no table would be built
+    @pytest.mark.parametrize("G", [itf.path(17), itf.Graph(17)], ids=["path17", "edgeless17"])
+    def test_graphs_file_above_cap(self, tmp_path, G):
+        p = tmp_path / "graphs.g6"
+        p.write_text(itf.to_graph6(G) + "\n")
+        code, obj = run_cli_json(["sweep", "--suite", "nbd-oracle", "--graphs-file", str(p)])
+        assert code == BUDGET
+        assert obj["error"] == {"kind": "budget",
+                                "message": "nbd-oracle sweep: n=17 exceeds cap 16"}
 
     # below its smallest order a suite would check nothing; nbd-oracle starts
     # at order 1, lg-injectivity and index-kn at order 2 (ids name the suite
@@ -523,17 +532,12 @@ class TestSweep:
         assert code == OK and obj["ok"] is True and obj["check_count"] > 0
 
     @pytest.mark.parametrize("name", sorted(WRONG_CRITERIA))
-    def test_catches_a_wrong_criterion(self, monkeypatch, tmp_path, name):
+    def test_catches_a_wrong_criterion(self, monkeypatch, name):
         from interfere import cli
 
         suite, wrong = WRONG_CRITERIA[name]
         monkeypatch.setattr(cli, name, wrong(getattr(cli, name)))
-        corpus = ["--max-n", "5"]
-        if name in ABOVE_CATALOG:
-            p = tmp_path / "graphs.g6"
-            p.write_text(ABOVE_CATALOG[name] + "\n")
-            corpus = ["--graphs-file", str(p)]
-        code, obj = run_cli_json(["sweep", "--suite", suite, *corpus])
+        code, obj = run_cli_json(["sweep", "--suite", suite, "--max-n", "5"])
         assert code == OK
         assert obj["mismatch_count"] > 0 and obj["ok"] is False
 
@@ -553,7 +557,7 @@ class TestSweep:
 
     def test_pinned_counts_cover_every_nbd_criterion(self):
         nbd = {name for name, (suite, _) in WRONG_CRITERIA.items() if suite == "nbd-oracle"}
-        assert set(self.PINNED_COUNTS) == nbd - set(ABOVE_CATALOG) | {None}
+        assert set(self.PINNED_COUNTS) == nbd | {None}
 
     @pytest.mark.parametrize("column, flags", [(0, ["--seed", "3"]),
                                                (1, ["--seed", "5", "--samples", "37"])],
@@ -569,21 +573,23 @@ class TestSweep:
         assert (obj["check_count"], obj["mismatch_count"]) == self.PINNED_COUNTS[name][column]
 
     # point-determining graphs of order 6 and 7, the wheel on 7 vertices, and
-    # one of order 9, above the catalog's order, whose draws are each decided
-    # on their own; 400 draws from 63, 127 or 511 sets repeat many of them
+    # one of order 9, above the catalog's order, so only from --graphs-file;
+    # 400 draws from 63, 127 or 511 sets repeat many of them
     SAMPLED = ["ELtw", "EhNW", "FJn^W", "FhENw", "HXeuPV{"]
 
     @pytest.mark.parametrize("wrong", [False, True], ids=["real", "wrong-complemented"])
     def test_sampled_orders_count_every_draw(self, monkeypatch, tmp_path, wrong):
         from interfere import cli
 
-        real = cli.complemented_escapes
-        escapes = real
-        if wrong:  # on both routes: the table to order 8, per set above it
-            escapes = WRONG_CRITERIA["complemented_escapes"][1](real)
+        # the sweep reads only the table; the reference is the per-set test
+        real = itf.complemented_escapes
+
+        def escapes(G, D):
+            return real(G, _lowest_dropped(D) if wrong else D)
+
+        if wrong:
             monkeypatch.setattr(cli, "complemented_escape_family", WRONG_CRITERIA[
                 "complemented_escape_family"][1](cli.complemented_escape_family))
-        monkeypatch.setattr(cli, "complemented_escapes", escapes)
         p = tmp_path / "graphs.g6"
         p.write_text("\n".join(self.SAMPLED) + "\n")
         seed, samples = 11, 400
