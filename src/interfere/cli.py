@@ -459,7 +459,7 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
     mismatches = []
     Kn = None
     for G in graphs:
-        check_cap("nbd-oracle sweep", G.n)  # 2^n-entry tables, whatever G is
+        check_cap("nbd-oracle sweep", G.n)  # 2^n-bit families, whatever G is
         if Kn is None or Kn.n != G.n:
             Kn = complete(G.n)
         nrep = neighborhood_labeling(G)

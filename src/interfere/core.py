@@ -90,11 +90,16 @@ def overlap_graph(G: Graph, f: SetLabeling) -> Graph:
     _require_valid(f)
     if f.n != G.n:
         raise ValueError("labeling size does not match graph order")
-    labs = f.labels
-    return Graph.from_rows([
-        mask_of(v for v in iter_bits(row) if labs[u] & labs[v])
-        for u, row in enumerate(G.adj)
-    ])
+    labs, rows = f.labels, []
+    for lab, row in zip(labs, G.adj):
+        meets = 0
+        while row:
+            low = row & -row
+            if lab & labs[low.bit_length() - 1]:
+                meets |= low
+            row ^= low
+        rows.append(meets)
+    return Graph.from_rows(rows)
 
 
 def overlap_violation(G: Graph, H: Graph, D: int) -> Optional[Violation]:

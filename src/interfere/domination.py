@@ -1,12 +1,14 @@
 """Dominating sets and exact enumeration of the minimal ones.
 
 dominating_family decides every D ⊆ V at once, as one int whose bit D is set
-iff D dominates G, read off union_table, the package's one doubling builder
-of per-set tables; is_dominating decides one set.
+iff D dominates G: the complement of down_set over the masks V minus N[u],
+since D fails exactly when it misses some N[u].  down_set is the package's one
+builder of per-set families, 2^n-bit ints built by shifts; is_dominating
+decides one set.
 """
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterable, Tuple
 
 from .bitset import bit_list, iter_bits
 from .errors import CapExceededError
@@ -73,24 +75,30 @@ def check_cap(name: str, n: int) -> None:
         raise CapExceededError(f"{name}: n={n} exceeds cap {_CAP}")
 
 
-def union_table(name: str, rows: List[int]) -> List[int]:
-    """table[D] = table[D minus its highest vertex v] | rows[v], from
-    table[empty] = 0, so table[D] is the union of rows[v] over v in D: each
-    vertex doubles the table.  name, the caller, goes to check_cap."""
-    check_cap(name, len(rows))
-    table = [0]
-    for row in rows:
-        table += [t | row for t in table]
-    return table
+def down_set(name: str, n: int, masks: Iterable[int]) -> int:
+    """The int whose bit D is set iff D is a subset of some mask, for D over
+    the subsets of n vertices.  The subsets of T start from {empty} (bit 0);
+    each vertex v of T adds v to all of them, a shift by 2^v.  name, the
+    caller, goes to check_cap."""
+    check_cap(name, n)
+    family = 0
+    for T in set(masks):
+        subsets = 1
+        while T:
+            low = T & -T
+            subsets |= subsets << low
+            T ^= low
+        family |= subsets
+    return family
 
 
 def dominating_family(G: Graph) -> int:
     """The int whose bit D is set iff D dominates G (bit 0, the empty set,
-    never): D covers the union of N[v] over v in D."""
-    covered = union_table("dominating_family",
-                          [closed_neighborhood(G, v) for v in G.vertices()])
+    never): D fails exactly when it lies inside V minus N[u] for some u."""
     full = G.full_mask
-    return int("".join("1" if c == full else "0" for c in reversed(covered)), 2)
+    misses = down_set("dominating_family", G.n,
+                      [full ^ closed_neighborhood(G, u) for u in G.vertices()])
+    return ((1 << (1 << G.n)) - 1) ^ misses
 
 
 def all_dominating_sets(G: Graph) -> Tuple[int, ...]:

@@ -17,8 +17,9 @@ a common triangle; two_path_graph builds its rows from the rows of G, not
 from the labels.  The singleton and all-but-one criteria, completeness and
 the distance-two sufficient rule read the same rows.  The complemented
 criterion is point-determinacy plus complemented_escapes, a test on the
-common neighborhood of D; complemented_escape_family runs it for every D
-at once, once per distinct common neighborhood, from domination.union_table.
+common neighborhood of D.  complemented_escape_family decides every D at
+once: D fails iff it lies inside M_u = N(u) ∩ ⋂_{w ∉ N[u]} N(w) for some u,
+so the family is the complement of domination.down_set over the M_u.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import List, Optional, Tuple
 
 from .bitset import check_set, check_vertex, iter_bits
 from .core import SetLabeling
-from .domination import is_dominating, union_table
+from .domination import down_set, is_dominating
 from .graphs import (
     Graph,
     closed_neighborhood,
@@ -176,12 +177,14 @@ def complemented_interference_of(G: Graph, D: int) -> bool:
     return is_point_determining(G) and complemented_escapes(G, D)
 
 
-def _common_escapes(G: Graph, common: int) -> bool:
-    """The escape test of complemented_escapes, given common, the common
-    neighborhood of D: each u in common has a nonneighbor w outside common,
-    and w lies in the labels of u and of a member of D that w misses."""
-    full, adj = G.full_mask, G.adj
-    return all((adj[u] | common) != full for u in iter_bits(common))
+def _common_neighborhood(G: Graph, S: int, common: int) -> int:
+    """common ∩ N(w) for every w in S, stopping once it is empty."""
+    adj = G.adj
+    while S and common:
+        low = S & -S
+        common &= adj[low.bit_length() - 1]
+        S ^= low
+    return common
 
 
 def complemented_escapes(G: Graph, D: int) -> bool:
@@ -191,27 +194,24 @@ def complemented_escapes(G: Graph, D: int) -> bool:
     nonneighbor that also misses some member of D, i.e. V \\ N(u) must
     escape the common neighborhood of D.  That neighborhood never meets D.
     """
-    common, adj = G.full_mask, G.adj
-    while D and common:
-        low = D & -D
-        common &= adj[low.bit_length() - 1]
-        D ^= low
-    return _common_escapes(G, common)
+    full, adj = G.full_mask, G.adj
+    common = _common_neighborhood(G, D, full)
+    return all((adj[u] | common) != full for u in iter_bits(common))
 
 
 def complemented_escape_family(G: Graph) -> int:
     """The int whose bit D is set iff D is nonempty and
     complemented_escapes(G, D) holds.
 
-    V minus the common neighborhood of D is the union of V \\ N(v) over v
-    in D: union_table over the complemented rows.  Each distinct common
-    neighborhood is tested once; V itself never escapes, so bit 0 is clear.
+    D fails exactly when some u in its common neighborhood has every
+    nonneighbor w in it too: D lies inside N(u) and inside every N(w) with
+    w outside N[u].  So the failing D are the down_set of those
+    intersections M_u; it holds the empty set, so bit 0 is clear.
     """
     full = G.full_mask
-    outside = union_table("complemented_escape_family",
-                          [complemented_neighborhood(G, v) for v in G.vertices()])
-    escapes = {c: "1" if _common_escapes(G, full ^ c) else "0" for c in set(outside)}
-    return int("".join(map(escapes.__getitem__, reversed(outside))), 2)
+    stuck = [_common_neighborhood(G, full ^ closed_neighborhood(G, u), G.adj[u])
+             for u in G.vertices()]
+    return down_set("complemented_escape_family", G.n, stuck) ^ ((1 << (1 << G.n)) - 1)
 
 
 def complemented_complete(G: Graph) -> bool:

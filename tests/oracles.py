@@ -8,8 +8,8 @@ propagation rules on the kernel's bitmask domains, walking every code.
 independence_number is a bitmask branch and bound; the tests check it
 against an exhaustive scan and use it to check the package's vertex-cover
 test.
-random_labeling, induced_subgraph and second_neighborhood are helpers only
-the tests use, so they live here rather than in the package.
+random_labeling, gnp, induced_subgraph and second_neighborhood are helpers
+only the tests use, so they live here rather than in the package.
 brute_two_path_graph reads T(G) off breadth-first distances, where the
 package unions neighbor rows; brute_sufficient_rule reads its distance-two
 pairs the same way.
@@ -63,6 +63,13 @@ def random_labeling(n: int, m: int, rng: random.Random) -> SetLabeling:
         raise ValueError(f"cannot pick {n} distinct nonempty labels from {m} elements")
     codes = rng.sample(range(1, 1 << m), n)
     return SetLabeling(m, tuple(codes))
+
+
+def gnp(n: int, p: float, seed: int) -> Graph:
+    """G(n,p)#seed: random.Random(seed) keeps each pair u < v, in
+    lexicographic order, with probability p."""
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 def set_distances(G: Graph, source: int):

@@ -27,6 +27,9 @@ from oracles import (
     brute_is_complete,
     brute_is_interference,
     brute_is_valid,
+    gnp,
+    labels_as_sets,
+    neighbor_sets,
     random_labeling,
 )
 
@@ -98,6 +101,23 @@ class TestInterferencePredicate:
                     want = brute_is_interference(G, bit_list(D), lab)
                     assert is_interference(G, D, lab) == want
                     assert is_dominating(H, D) == want
+
+    @pytest.mark.parametrize("n, m", [(6, 3), (6, 8), (9, 4), (9, 10)])
+    def test_overlap_rows(self, n, m):
+        """Row u is {v in N_G(u) : f(u) meets f(v)}, on ground sets smaller
+        and larger than n; some edges of G must drop out."""
+        rng = random.Random(n * m)
+        dropped = 0
+        for seed in range(8):
+            G = gnp(n, 0.5, seed)
+            assert G.edges and len(G.edges) < n * (n - 1) // 2
+            lab = random_labeling(n, m, rng)
+            sets, nbrs = labels_as_sets(lab), neighbor_sets(G)
+            H = overlap_graph(G, lab)
+            assert [set(bit_list(row)) for row in H.adj] == [
+                {v for v in nbrs[u] if sets[u] & sets[v]} for u in range(n)]
+            dropped += len(G.edges) - len(H.edges)
+        assert dropped
 
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):

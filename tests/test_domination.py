@@ -8,7 +8,9 @@ import pytest
 import interfere as itf
 from interfere import bit_list, mask_of
 
-from oracles import brute_is_dominating, brute_minimal_dominating_sets
+from interfere.domination import down_set
+
+from oracles import brute_is_dominating, brute_minimal_dominating_sets, gnp
 
 
 class TestIsDominating:
@@ -47,6 +49,12 @@ class TestDominatingFamily:
                 G = itf.Graph(n, edges)
                 assert itf.dominating_family(G) == self._filtered(G), itf.to_graph6(G)
 
+    @pytest.mark.parametrize("n", range(13, 17))
+    def test_matches_at_orders_13_to_16(self, n):
+        for p in (0.2, 0.8):
+            G = gnp(n, p, n)
+            assert itf.dominating_family(G) == self._filtered(G), itf.to_graph6(G)
+
     def test_cap(self):
         # at the cap the edgeless graph is dominated by V alone
         assert itf.dominating_family(itf.Graph(16)) == 1 << (1 << 16) - 1
@@ -54,6 +62,43 @@ class TestDominatingFamily:
             itf.dominating_family(itf.Graph(17))
         with pytest.raises(itf.CapExceededError):
             itf.all_dominating_sets(itf.Graph(17))
+
+
+def _subsets_of_some(masks):
+    """Every subset of every mask, listed by itertools, as one int."""
+    return mask_of({mask_of(c) for T in masks for r in range(T.bit_count() + 1)
+                    for c in itertools.combinations(bit_list(T), r)})
+
+
+class TestDownSet:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_subset_oracle(self, n):
+        rng = random.Random(n)
+        for k in range(4):
+            masks = [rng.getrandbits(n) for _ in range(k)]
+            assert down_set("t", n, masks) == _subsets_of_some(masks), masks
+
+    @pytest.mark.parametrize("n, masks, want", [
+        (1, [], 0),
+        (1, [0], 0b1),  # the empty set alone
+        (1, [1], 0b11),
+        (1, [1, 1, 0], 0b11),
+        (3, [0b101, 0b101], 0b110011),  # {}, {0}, {2}, {0, 2}
+        (3, [0b111], 0xFF),
+    ])
+    def test_anchors(self, n, masks, want):
+        assert down_set("t", n, masks) == want == _subsets_of_some(masks)
+
+    def test_order_16(self):
+        full = (1 << 16) - 1
+        rng = random.Random(16)
+        masks = [rng.getrandbits(16) for _ in range(3)]
+        assert down_set("t", 16, masks + masks + [0]) == _subsets_of_some(masks)
+        assert down_set("t", 16, [0, full, 0b1011]) == (1 << (1 << 16)) - 1
+
+    def test_cap(self):
+        with pytest.raises(itf.CapExceededError, match="^down: n=17 exceeds cap 16$"):
+            down_set("down", 17, [1])
 
 
 class TestMinimality:

@@ -32,6 +32,7 @@ from oracles import (
     brute_is_interference,
     brute_max_cross_intersecting,
     brute_minimal_constraints,
+    gnp,
     reference_propagate,
     scan_index,
 )
@@ -246,13 +247,6 @@ class TestIndexAgainstScan:
                 assert res.lower_bound_used == index_lower_bound(G.n)
                 # the search confirms what the construction claims at U
                 assert exists_interference(G, P, universal_upper_bound(G.n)) is not None
-
-
-def gnp(n, p, seed):
-    """G(n,p)#seed: random.Random(seed) keeps each pair u < v, in
-    lexicographic order, with probability p."""
-    rng = random.Random(seed)
-    return itf.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 class TestImpliedConstraints:

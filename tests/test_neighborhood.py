@@ -42,6 +42,7 @@ from oracles import (
     brute_minimal_dominating_sets,
     brute_sufficient_rule,
     brute_two_path_graph,
+    gnp,
     induced_subgraph,
     neighbor_sets,
     second_neighborhood,
@@ -380,6 +381,12 @@ class TestComplementedEscapeFamily:
         fam = complemented_escape_family(G)
         assert fam == _escape_bits(G)
         assert not fam & 1
+
+    @pytest.mark.parametrize("n", range(13, 17))
+    def test_matches_per_set_test_at_orders_13_to_16(self, n):
+        for p in (0.2, 0.8):
+            G = gnp(n, p, n)
+            assert complemented_escape_family(G) == _escape_bits(G), itf.to_graph6(G)
 
     def test_anchors(self):
         # K_n: common(D) = V minus D, whose members cover V with their rows
