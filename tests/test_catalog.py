@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from functools import lru_cache
 
 import networkx as nx
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     brute_automorphism_count,
     brute_catalogs,
     brute_certificate,
+    neighbor_sets,
     reference_refine_colors,
 )
 
@@ -68,6 +70,38 @@ class TestCounts:
     def test_cap(self):
         with pytest.raises(itf.CapExceededError):
             itf.all_graphs(9)
+
+    def test_upto_cap_raises_before_any_search(self, monkeypatch):
+        # the orders below the cap are not built first
+        calls = cold_catalog_with_search_count(monkeypatch)
+        for build in (catalog.graphs_upto, catalog.connected_graphs_upto):
+            with pytest.raises(itf.CapExceededError):
+                build(9)
+        assert calls == [0]
+
+    def test_cold_build_search_count(self, monkeypatch):
+        # 208 parents (orders 1-6) plus the 1,253 candidates that pass the
+        # degree pre-filter and the color check: 386 fewer than without it
+        calls = cold_catalog_with_search_count(monkeypatch)
+        assert len(catalog.all_graphs(7)) == ALL_COUNTS[7]
+        assert calls == [1461]
+
+
+def cold_catalog_with_search_count(monkeypatch):
+    """Give the catalog fresh caches for this test, and count its searches
+    in the returned one-item list; the shared caches stay as they were."""
+    calls = [0]
+    search = catalog._search
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "_search", counted)
+    for name in ("all_graphs", "connected_graphs"):
+        build = getattr(catalog, name).__wrapped__
+        monkeypatch.setattr(catalog, name, lru_cache(maxsize=None)(build))
+    return calls
 
 
 def relabeled(G, perm):
@@ -193,6 +227,54 @@ class TestCertificate:
                             group.add(h)
                             frontier.append(h)
                 assert len(group) == want, H.edges
+
+    def test_leaf_ordering_spells_out_the_code(self):
+        # a kept candidate becomes a Graph by relabeling its rows in the
+        # order of the leaf the search returns
+        rng = random.Random(17)
+        graphs = [G for n in range(1, 8) for G in itf.all_graphs(n)]
+        for G in SYMMETRIC.values():
+            for _ in range(3):
+                perm = list(range(G.n))
+                rng.shuffle(perm)
+                graphs.append(relabeled(G, perm))
+        for G in graphs:
+            code, leaf = catalog._search(G.n, G.adj)
+            assert sorted(leaf) == list(range(G.n))
+            position = [0] * G.n
+            for i, v in enumerate(leaf):
+                position[v] = i
+            nbrs = neighbor_sets(relabeled(G, position))
+            got = 0
+            for i in range(G.n):
+                for j in range(i + 1, G.n):
+                    got = got << 1 | (j in nbrs[i])
+            assert got == code, G.edges
+
+    def test_color_check_rejects_only_orbit_failures(self):
+        # a candidate whose new vertex x is not of the least color among the
+        # vertices of its degree fails the orbit test after a full search
+        rejected = 0
+        for x in range(1, 7):
+            n = x + 1
+            for R in itf.all_graphs(x):
+                autos = []
+                catalog._search(x, R.adj, autos)
+                for mask in catalog._orbit_starts(x, autos):
+                    rows = [a | 1 << x if mask >> v & 1 else a for v, a in enumerate(R.adj)]
+                    rows.append(mask)
+                    top = mask.bit_count()
+                    if max(a.bit_count() for a in rows) > top:
+                        continue  # the degree pre-filter
+                    colors = catalog._refine_colors(n, rows)
+                    if colors[x] == min(colors[v] for v in range(n) if rows[v].bit_count() == top):
+                        continue
+                    rejected += 1
+                    found = []
+                    _, leaf = catalog._search(n, rows, found)
+                    c = next(v for v in leaf if rows[v].bit_count() == top)
+                    assert not catalog._in_orbit(x, c, found), (R.edges, mask)
+        assert rejected == 386
 
     def test_separates_same_degree_sequence(self):
         # C6 and two triangles share the degree sequence but not the certificate
