@@ -10,8 +10,7 @@ interference of a *family* of sets when it is one for every member.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitset import bit_list, check_set, iter_bits, mask_of
 from .errors import GraphFormatError
@@ -19,15 +18,19 @@ from .domination import is_dominating, minimal_dominating_sets
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class SetLabeling:
-    """Vertex labels over ground set {0..ground_size-1}, one bitmask each."""
-
+class _SetLabelingFields(NamedTuple):
+    # a NamedTuple body cannot define __new__, so SetLabeling adds it below
     ground_size: int
     labels: Tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+
+class SetLabeling(_SetLabelingFields):
+    """Vertex labels over ground set {0..ground_size-1}, one bitmask each."""
+
+    __slots__ = ()
+
+    def __new__(cls, ground_size: int, labels: Sequence[int]) -> "SetLabeling":
+        return super().__new__(cls, ground_size, tuple(labels))
 
     @property
     def n(self) -> int:
@@ -74,8 +77,7 @@ def _require_valid(f: SetLabeling) -> None:
         raise ValueError("labeling is not valid (empty, out-of-range or repeated labels)")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """Why a labeling fails to interfere for D: the vertex and its D-neighbors."""
 
     vertex: int
@@ -118,8 +120,7 @@ def is_interference(G: Graph, D: int, f: SetLabeling) -> bool:
 # ---------------------------------------------------------------------------
 # pattern families
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     """A family of target sets, explicit or symbolic."""
 
     kind: str

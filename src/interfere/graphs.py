@@ -10,7 +10,6 @@ and the vertex numbering of L(G) are reproducible.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -311,6 +310,8 @@ def to_graph6(G: Graph) -> str:
 
 def fingerprint(G: Graph) -> dict:
     """Stable descriptive fingerprint used in CLI reports."""
+    import hashlib  # loads OpenSSL's libcrypto: only commands that print a fingerprint pay
+
     degs = sorted((mask.bit_count() for mask in G.adj), reverse=True)
     blob = f"{G.n}:" + ",".join(f"{u}-{v}" for u, v in G.edges)
     return {

@@ -50,13 +50,12 @@ answers the upper bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from .bitset import iter_bits
+from .bitset import bit_list, iter_bits
 from .core import (
     Pattern, SetLabeling, build_complete_interference, expand_pattern, is_pattern_interference
 )
@@ -83,8 +82,7 @@ def universal_upper_bound(n: int) -> int:
     return ceil_log2(2 * n)
 
 
-@dataclass(frozen=True)
-class PhaseOutcome:
+class PhaseOutcome(NamedTuple):
     m: int
     found: bool
     nodes: int
@@ -93,8 +91,7 @@ class PhaseOutcome:
         return {"m": self.m, "found": self.found, "nodes": self.nodes}
 
 
-@dataclass(frozen=True)
-class IndexResult:
+class IndexResult(NamedTuple):
     index: int
     witness: SetLabeling
     lower_bound_used: int
@@ -437,8 +434,7 @@ def interference_index(
 _R_CAP, _M_CAP = 4, 6  # max_cross_intersecting refuses larger families and ground sets
 
 
-@dataclass(frozen=True)
-class CrossIntersectingResult:
+class CrossIntersectingResult(NamedTuple):
     """Largest s admitting r+s distinct subsets with all r-to-s pairs meeting."""
 
     r: int
@@ -448,8 +444,6 @@ class CrossIntersectingResult:
     partners: Tuple[int, ...]
 
     def as_dict(self) -> dict:
-        from .bitset import bit_list
-
         return {
             "r": self.r,
             "m": self.m,

@@ -16,8 +16,7 @@ Edge sets are int bitmasks over canonical edge indices (Graph.edges order).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .bitset import bit_list
 from .errors import HypothesisViolation
@@ -56,8 +55,7 @@ def _component_kinds(G: Graph) -> List[Tuple[str, List[int]]]:
     return out
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     injective: bool
     obstructions: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
@@ -81,8 +79,7 @@ def line_injectivity_report(G: Graph) -> InjectivityReport:
     )
 
 
-@dataclass(frozen=True)
-class LineCompleteReport:
+class LineCompleteReport(NamedTuple):
     """Clause-by-clause trace for edge-labeling completeness.
 
     The verdict is neighborhood_complete on L(G).  The recorded clauses are

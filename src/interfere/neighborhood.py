@@ -23,8 +23,7 @@ so the family is the complement of domination.down_set over the M_u.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .bitset import check_set, check_vertex, iter_bits
 from .core import SetLabeling
@@ -39,8 +38,7 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class LabelingReport:
+class LabelingReport(NamedTuple):
     """Validity report for a neighborhood-style labeling of G."""
 
     injective: bool

@@ -3,9 +3,12 @@
 import io
 import json
 import contextlib
+import os
+from pathlib import Path
 
 import pytest
 
+import interfere
 from interfere.cli import main as cli_main
 from interfere.core import expand_pattern
 from interfere.index_search import _constraints_for, _Kernel
@@ -25,6 +28,15 @@ def run_cli(argv):
 def run_cli_json(argv):
     code, text = run_cli(argv)
     return code, json.loads(text)
+
+
+def package_env():
+    """os.environ with the package's source directory first on PYTHONPATH,
+    for fresh interpreters started by the tests."""
+    src = str(Path(interfere.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def forced_rule_on_off(G, P, m, budget=10**8):

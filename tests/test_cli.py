@@ -1,8 +1,6 @@
 """Command line interface: formats, exit codes, determinism."""
 
-import dataclasses
 import json
-import os
 import shlex
 import subprocess
 import sys
@@ -12,7 +10,7 @@ import pytest
 
 import interfere as itf
 
-from conftest import run_cli, run_cli_json
+from conftest import package_env, run_cli, run_cli_json
 
 OK, USAGE, BUDGET, FORMAT = 0, 2, 3, 4
 
@@ -435,14 +433,14 @@ def _negate(real):
 def _negate_injective(real):
     def wrong(G):
         rep = real(G)
-        return dataclasses.replace(rep, injective=not rep.injective)
+        return rep._replace(injective=not rep.injective)
     return wrong
 
 
 def _one_too_many(real):
     def wrong(*args, **kwargs):
         res = real(*args, **kwargs)
-        return dataclasses.replace(res, index=res.index + 1)
+        return res._replace(index=res.index + 1)
     return wrong
 
 
@@ -694,11 +692,8 @@ class TestHarness:
 def test_closed_stdout_exits_one_without_traceback(argv):
     """A reader that closes stdout before anything is written ends the run
     with exit code 1 and no traceback on stderr."""
-    src = str(Path(itf.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen([sys.executable, "-m", "interfere.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
     proc.stdout.close()  # the child is still starting up: it has written nothing
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1, err

@@ -1,6 +1,7 @@
 """Set labelings, the interference predicate, patterns, and the doubling construction."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -61,6 +62,47 @@ class TestLabelingValidity:
 
     def test_as_sets(self):
         assert SetLabeling(3, [5]).as_sets() == [[0, 2]]
+
+
+class TestResultTypes:
+    """The result types are NamedTuples; these are the tuple behaviours the
+    package and its callers rely on."""
+
+    def test_labels_become_a_tuple(self):
+        a, b = SetLabeling(2, [1, 2, 3]), SetLabeling(2, (1, 2, 3))
+        assert type(a.labels) is tuple
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_fields_are_read_only(self):
+        for obj, field in [
+            (SetLabeling(2, [1, 2]), "labels"),
+            (Pattern.singletons(), "kind"),
+            (itf.interference_index(itf.cycle(5), Pattern.all_dominating()), "index"),
+            (itf.line_injectivity_report(itf.path(3)), "injective"),
+            (itf.neighborhood_labeling(itf.path(3)), "labeling"),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            with pytest.raises(AttributeError):  # no instance dict either
+                obj.extra = None
+
+    def test_pickle_round_trip(self):
+        for obj in [
+            SetLabeling(3, [1, 6, 5]),
+            Pattern.explicit([0b011, 0b101]),
+            Pattern.cross_pairs(0b0011, 0b1100),
+            itf.interference_index(itf.cycle(5), Pattern.all_dominating()),
+        ]:
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj and type(back) is type(obj)
+
+    def test_class_constants_are_not_fields(self):
+        assert Pattern._fields == ("kind", "sets", "parts")
+        assert SetLabeling._fields == ("ground_size", "labels")
+        kinds = [Pattern.EXPLICIT, Pattern.SINGLETONS, Pattern.ALL_DOMINATING, Pattern.CROSS_PAIRS]
+        assert kinds == ["explicit", "singletons", "all_dominating", "cross_pairs"]
+        assert Pattern.singletons() == ("singletons", (), (0, 0))
 
 
 class TestInterferencePredicate:

@@ -1,9 +1,12 @@
 """Graph container, neighborhoods, metrics, and graph6 codec."""
 
 import copy
+import hashlib
 import itertools
 import pickle
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
@@ -27,6 +30,7 @@ from interfere import (
 
 from interfere.cli import bipartition
 
+from conftest import package_env
 from oracles import (
     has_edge,
     independence_number,
@@ -293,3 +297,31 @@ class TestEdgeListsAndFingerprint:
         assert len(fp["edge_hash"]) == 16
         # stable across reconstruction
         assert itf.fingerprint(from_graph6(to_graph6(wheel(5)))) == fp
+
+    # edge_hash: the first 16 hex digits of SHA-256 over "n:u-v,..." with the
+    # edges (u < v) in sorted order
+    EDGE_HASHES = [
+        (complete(40), "ba0c3bc82bb718f4"),
+        (wheel(5), "0549d05954432c9e"),
+        (cycle(16), "b245deb1864aa1bc"),
+        (path(1), "0758ffe9350a70a1"),
+        (Graph(3), "d94a69874c047d9d"),
+    ]
+
+    @pytest.mark.parametrize("G, pin", EDGE_HASHES, ids=["K40", "W5", "C16", "P1", "empty3"])
+    def test_edge_hash_pins(self, G, pin):
+        pairs = sorted((u, v) for u, v in itertools.combinations(range(G.n), 2) if G.adj[u] >> v & 1)
+        blob = f"{G.n}:" + ",".join(f"{u}-{v}" for u, v in pairs)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == pin
+        assert itf.fingerprint(G)["edge_hash"] == pin
+
+    def test_edge_hash_in_a_fresh_interpreter(self):
+        """The first fingerprint in a process imports hashlib; it gives the
+        same hashes."""
+        code = ("import sys, interfere as itf; "
+                "print(*(itf.fingerprint(itf.from_graph6(g))['edge_hash'] for g in sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *(to_graph6(G) for G, _ in self.EDGE_HASHES)],
+            capture_output=True, text=True, check=True, env=package_env(),
+        )
+        assert proc.stdout.split() == [pin for _, pin in self.EDGE_HASHES]

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import interfere
+
+from conftest import package_env
 
 PACKAGE = Path(interfere.__file__).parent
 
@@ -24,10 +27,8 @@ def test_no_assert_statements():
         pytest.fail(f"assert statements in the package: {', '.join(found)}")
 
 
-def test_stdlib_only_imports():
-    """The package has no runtime dependencies: every absolute import names a
-    standard-library module."""
-    found = []
+def _absolute_imports():
+    """("module.py:line", top-level name) of every absolute import in the package."""
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -36,13 +37,44 @@ def test_stdlib_only_imports():
                 names = [node.module]
             else:
                 continue
-            found += [
-                f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
-                for name in names
-                if name.partition(".")[0] not in sys.stdlib_module_names
-            ]
+            for name in names:
+                yield f"{path.relative_to(PACKAGE)}:{node.lineno}", name.partition(".")[0]
+
+
+def test_stdlib_only_imports():
+    """The package has no runtime dependencies: every absolute import names a
+    standard-library module."""
+    found = [f"{where} {name}" for where, name in _absolute_imports()
+             if name not in sys.stdlib_module_names]
     if found:
         pytest.fail(f"imports outside the standard library: {', '.join(found)}")
+
+
+def test_no_dataclasses():
+    """Result types are NamedTuples: importing dataclasses costs every CLI
+    process inspect, ast, dis and tokenize at start-up."""
+    found = [where for where, name in _absolute_imports() if name == "dataclasses"]
+    if found:
+        pytest.fail(f"dataclasses imported at: {', '.join(found)}")
+
+
+def _loaded_modules(code):
+    """Names in sys.modules after a fresh interpreter runs code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
+        capture_output=True, text=True, check=True, env=package_env(),
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_import_footprint():
+    """Importing the CLI loads no dataclass machinery and no OpenSSL: hashlib
+    waits for the first fingerprint."""
+    extra = _loaded_modules("import interfere.cli") - _loaded_modules("pass")
+    assert "interfere.cli" in extra
+    heavy = extra & {"dataclasses", "inspect", "hashlib", "_hashlib"}
+    if heavy:
+        pytest.fail(f"import interfere.cli loads {', '.join(sorted(heavy))}")
 
 
 # Functions and methods that no package module calls: the public ones are
