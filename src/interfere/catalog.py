@@ -47,8 +47,9 @@ stable cells in color order, so c lies in the least-colored cell of maximum
 degree, and an orbit lies inside one stable cell; so x, of maximum degree, is
 in c's orbit only if its color is the least among the vertices of its degree.
 The few candidates that pass this check and still fail the orbit test are
-searched.  A kept candidate becomes a Graph by relabeling its rows in the
-order of the first best leaf, which spells out its code.
+searched.  A kept candidate's rows are relabeled at once in the order of the
+first best leaf, which spells out its code; the build holds only the code and
+those rows of each kept graph until the catalog is sorted.
 
 Known totals used by the tests: 1, 2, 4, 11, 34, 156, 1044, 12346 graphs and
 1, 1, 2, 6, 21, 112, 853, 11117 connected graphs on 1..8 vertices.
@@ -264,7 +265,7 @@ def all_graphs(n: int) -> Tuple[Graph, ...]:
     _check_cap(n)
     if n == 1:
         return (Graph(1),)
-    kept: List[Tuple[int, List[int], List[int]]] = []  # (code, rows, first best leaf)
+    kept: List[Tuple[int, Tuple[int, ...]]] = []  # (code, rows relabeled by the leaf)
     x = n - 1  # the new vertex
     for R in all_graphs(x):
         autos: List[Perm] = []
@@ -289,27 +290,25 @@ def all_graphs(n: int) -> Tuple[Graph, ...]:
             found: List[Perm] = []
             code, leaf = _search(n, rows, found, colors)
             c = next(v for v in leaf if rows[v].bit_count() == top)
-            if _in_orbit(x, c, found):
-                kept.append((code, rows, leaf))
+            if not _in_orbit(x, c, found):
+                continue
+            # relabeled by the leaf, the rows spell out the code; the bit loop is
+            # inline because mask_of over iter_bits makes the order-7 build ~7% slower
+            bit = [0] * n  # bit[v]: the bit of v's position in the leaf
+            for i, v in enumerate(leaf):
+                bit[v] = 1 << i
+            relabeled = []
+            for v in leaf:
+                a = rows[v]
+                row = 0
+                while a:
+                    low = a & -a
+                    a ^= low
+                    row |= bit[low.bit_length() - 1]
+                relabeled.append(row)
+            kept.append((code, tuple(relabeled)))
     kept.sort(key=lambda k: (k[0].bit_count(), k[0]))
-    graphs = []
-    for _, rows, leaf in kept:
-        # relabeled by the leaf, the rows spell out the code; the bit loop is
-        # inline because mask_of over iter_bits makes the order-7 build ~7% slower
-        bit = [0] * n  # bit[v]: the bit of v's position in the leaf
-        for i, v in enumerate(leaf):
-            bit[v] = 1 << i
-        relabeled = []
-        for v in leaf:
-            a = rows[v]
-            row = 0
-            while a:
-                low = a & -a
-                a ^= low
-                row |= bit[low.bit_length() - 1]
-            relabeled.append(row)
-        graphs.append(Graph.from_rows(relabeled))
-    return tuple(graphs)
+    return tuple(Graph.from_rows(rows) for _, rows in kept)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .bitset import bit_list, check_set, iter_bits, mask_of
 from .errors import GraphFormatError
 from .domination import is_dominating, minimal_dominating_sets
-from .graphs import Graph
+from .graphs import Graph, closed_neighborhood
 
 
 class _SetLabelingFields(NamedTuple):
@@ -180,7 +180,21 @@ def expand_pattern(G: Graph, P: Pattern) -> Tuple[int, ...]:
 
 
 def is_pattern_interference(G: Graph, P: Pattern, f: SetLabeling) -> bool:
-    """Interference of every member of the family: each one dominates H_f."""
+    """Interference of every member of the family: each one dominates H_f.
+
+    ALL_DOMINATING needs no family.  f misses a dominating D iff D lies in
+    V minus N_H[u] for some u, and dominating sets are closed upward, so iff
+    that set itself dominates G: iff no w has N_G[w] inside N_H[u], and any
+    such w lies in N_G[u].
+    """
+    if P.kind == Pattern.ALL_DOMINATING:
+        H = overlap_graph(G, f)
+        closed = [closed_neighborhood(G, v) for v in G.vertices()]
+        for u in G.vertices():
+            hu = closed_neighborhood(H, u)
+            if all(closed[w] & ~hu for w in iter_bits(closed[u])):
+                return False  # V minus N_H[u] is a dominating set that f misses
+        return True
     family = expand_pattern(G, P)
     H = overlap_graph(G, f)
     return all(is_dominating(H, D) for D in family)

@@ -4,13 +4,16 @@ dominating_family decides every D ⊆ V at once, as one int whose bit D is set
 iff D dominates G: the complement of down_set over the masks V minus N[u],
 since D fails exactly when it misses some N[u].  down_set is the package's one
 builder of per-set families, 2^n-bit ints built by shifts; is_dominating
-decides one set.
+decides one set.  dominating_constraints reads, with no enumeration, which
+sets C = D ∩ N(u) the dominating sets D leave each vertex u outside them.
 """
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, List, Tuple
 
-from .bitset import bit_list, iter_bits
+from .bitset import bit_list, iter_bits, mask_of
 from .errors import CapExceededError
 from .graphs import Graph, closed_neighborhood
 
@@ -67,6 +70,47 @@ def minimal_dominating_sets(G: Graph) -> Tuple[int, ...]:
 
     rec(0, 0, 0)
     return _canonical_order(found)
+
+
+def dominating_constraints(G: Graph) -> List[Tuple[int, int]]:
+    """The sorted pairs (u, C), C inclusion-minimal among the sets D ∩ N(u)
+    over the dominating sets D without u, read off N(u) (local partial
+    domination): the minimal C ⊆ N(u) whose closed neighborhood holds u and
+    each w in N(u) with N(w) ⊆ N[u].  Such a C extends to the dominating set
+    C ∪ (V ∖ N[u]), as every other w has a neighbor outside N[u].  Branches on
+    the uncovered w with the fewest choices in N[w] ∩ N(u), each excluding the
+    choices of earlier siblings."""
+    check_cap("dominating_constraints", G.n)
+    closed = [closed_neighborhood(G, v) for v in G.vertices()]
+    pairs = set()
+
+    def rec(u: int, C: int, left: int, allowed: int) -> None:
+        if not left:
+            pairs.add((u, C))
+            return
+        choices = min((closed[w] & allowed for w in iter_bits(left)), key=int.bit_count)
+        for v in iter_bits(choices):
+            rec(u, C | 1 << v, left & ~closed[v], allowed)
+            allowed ^= 1 << v
+
+    for u, cu in enumerate(closed):
+        rec(u, 0, mask_of(w for w in iter_bits(cu) if closed[w] & ~cu == 0), G.adj[u])
+    return minimal_pairs(sorted(pairs))
+
+
+def minimal_pairs(pairs) -> List[Tuple[int, int]]:
+    """The pairs (u, C) of a sorted list with no pair (u, C') for a strict
+    subset C' of C.  Sorting puts each vertex's pairs together, and a strict
+    subset is a smaller int, so it comes first; testing against the kept
+    pairs alone suffices, since a dropped subset has a kept subset of its own."""
+    kept: List[Tuple[int, int]] = []
+    for u, group in groupby(pairs, key=itemgetter(0)):
+        mins: List[int] = []
+        for _, C in group:
+            if all(c & C != c for c in mins):
+                mins.append(C)
+        kept.extend((u, c) for c in mins)
+    return kept
 
 
 def check_cap(name: str, n: int) -> None:

@@ -15,9 +15,10 @@ set) and prunes with:
   vertex keeps only codes meeting u's remaining elements;
 * implied constraints are not propagated: (u, Vs) is dropped when u has a
   constraint on a strict subset of Vs, whose fixpoint already meets both
-  rules of (u, Vs), so the monotone rules reach the same fixpoint and the
-  search tree is unchanged (the order and the twin classes still read
-  every constraint);
+  rules of (u, Vs), so the monotone rules reach the same fixpoint.  The
+  dominating pattern reads each vertex's minimal sets off N(u)
+  (domination.dominating_constraints) and lists no dominating set; the
+  other patterns list their sets and drop the implied pairs;
 * all-different (labels must be pairwise distinct): the committed codes
   leave every other domain, and the union of the domains must hold n codes;
 * neighbor counting on the forced graph F, whose edges are the pairs
@@ -38,6 +39,12 @@ set) and prunes with:
   obeys both symmetry rules (Crawford, Ginsberg, Luks & Roy, KR 1996; Law &
   Lee, CP 2004), so no orbit loses its solutions.
 
+The assignment order is fail-first (Haralick & Elliott, Artif. Intell. 14,
+1980): smallest twin class first, then lowest degree in G, then vertex
+number, so the tightest constraints fail early, while large twin classes,
+such as the larger side of K_{r,s}, come last, where twin ordering cuts
+deepest.  Both symmetry rules hold along any fixed order.
+
 Both exhaustive searches here, the kernel and max_cross_intersecting, read
 two tables built once per m: the codes meeting each element set
 (_meeting_codes) and the codes first-occurrence order admits after each
@@ -46,19 +53,20 @@ all-codes masks in place of the latter and no twin links; the propagation
 rules always run.  Every assignment counts against the node budget;
 exceeding it raises SearchBudgetExceeded rather than returning a verdict.
 interference_index runs at most one search, since the doubling construction
-answers the upper bound.
+answers the upper bound.  _checked tests every witness against the pattern
+before it is returned, with core.is_pattern_interference, which decides the
+dominating pattern without listing its sets.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
 from typing import List, NamedTuple, Optional, Tuple
 
 from .bitset import bit_list, iter_bits
 from .core import (
     Pattern, SetLabeling, build_complete_interference, expand_pattern, is_pattern_interference
 )
+from .domination import dominating_constraints, minimal_pairs
 from .errors import CapExceededError, NoDominatingSetError, SearchBudgetExceeded
 from .graphs import Graph
 
@@ -108,14 +116,17 @@ class IndexResult(NamedTuple):
         }
 
 
-def _constraints_for(G: Graph, family) -> List[Tuple[int, int]]:
-    """Deduplicated (vertex, candidate-mask) pairs for the target sets.
+def _constraints_for(G: Graph, P: Pattern) -> List[Tuple[int, int]]:
+    """The sorted subset-minimal (vertex, candidate-mask) pairs of P's target
+    sets: read off the graph for the dominating pattern, listed for the others.
 
     Raises NoDominatingSetError for the first set that fails to dominate: no
     labeling can serve a vertex with no neighbor inside the set.
     """
+    if P.kind == Pattern.ALL_DOMINATING:
+        return dominating_constraints(G)
     seen = set()
-    for D in family:
+    for D in expand_pattern(G, P):
         for u in G.vertices():
             if D >> u & 1:
                 continue
@@ -125,7 +136,7 @@ def _constraints_for(G: Graph, family) -> List[Tuple[int, int]]:
                     f"target set {sorted(iter_bits(D))} does not dominate; index undefined"
                 )
             seen.add((u, cands))
-    return sorted(seen)
+    return minimal_pairs(sorted(seen))
 
 
 def _twin_classes(n: int, constraints) -> List[int]:
@@ -157,25 +168,6 @@ def _twin_classes(n: int, constraints) -> List[int]:
         else:
             reps.append(v)
     return cls
-
-
-def _minimal_constraints(constraints) -> List[Tuple[int, int]]:
-    """The pairs (u, C) of a sorted constraint list with no pair (u, C')
-    for a strict subset C' of C: at any fixpoint of (u, C') the rules of
-    (u, C) narrow nothing.
-
-    Sorting puts each vertex's pairs together, and a strict subset is a
-    smaller integer, so it comes first.  Testing against the kept pairs
-    alone suffices: a dropped subset has a kept subset of its own.
-    """
-    kept: List[Tuple[int, int]] = []
-    for u, group in groupby(constraints, key=itemgetter(0)):
-        mins: List[int] = []
-        for _, cands in group:
-            if all(c & cands != c for c in mins):
-                mins.append(cands)
-        kept.extend((u, c) for c in mins)
-    return kept
 
 
 @lru_cache(maxsize=4)  # a table has 4^m bits: keep only the latest few sizes
@@ -211,9 +203,7 @@ class _Kernel:
         self.nodes = 0
         # (element bit, codes holding that element), to read a domain's element union
         self.elem_codes = [(1 << e, sup[1 << e]) for e in range(m)]
-        self.constraints = [
-            (u, tuple(iter_bits(cands))) for u, cands in _minimal_constraints(constraints)
-        ]
+        self.constraints = [(u, tuple(iter_bits(cands))) for u, cands in constraints]
         # the forced graph F: a one-candidate pair (u, {v}) forces f(u) and
         # f(v) to meet; forced lists (u, F-neighbors) for F-degree >= 2
         fnbrs = [0] * self.n
@@ -224,15 +214,13 @@ class _Kernel:
         self.forced = [
             (u, tuple(iter_bits(ws))) for u, ws in enumerate(fnbrs) if ws & (ws - 1)
         ]
-        # the order and the twin classes read every pair, implied ones too
-        weight = [0] * self.n
-        for u, cands in constraints:
-            weight[u] += 1
-            for v in iter_bits(cands):
-                weight[v] += 1
-        self.order = sorted(range(self.n), key=lambda v: (-weight[v], v))
-        # twin[pos] = the latest twin of order[pos] earlier in the order, or -1
+        # fail-first: small twin classes, then low degree in G, come first
         cls = _twin_classes(self.n, constraints) if symmetry else range(self.n)
+        size = [0] * self.n
+        for c in cls:
+            size[c] += 1
+        self.order = sorted(range(self.n), key=lambda v: (size[cls[v]], G.adj[v].bit_count(), v))
+        # twin[pos] = the latest twin of order[pos] earlier in the order, or -1
         latest = {}
         self.twin = []
         for v in self.order:
@@ -374,8 +362,8 @@ def _phase(G: Graph, constraints, m: int, budget: int, symmetry: bool):
     return kern.search(), kern.nodes
 
 
-def _checked(G: Graph, family, witness: Optional[SetLabeling]) -> Optional[SetLabeling]:
-    if witness is not None and not is_pattern_interference(G, Pattern.explicit(family), witness):
+def _checked(G: Graph, P: Pattern, witness: Optional[SetLabeling]) -> Optional[SetLabeling]:
+    if witness is not None and not is_pattern_interference(G, P, witness):
         raise RuntimeError("search produced a witness that does not interfere (bug)")
     return witness
 
@@ -392,12 +380,11 @@ def exists_interference(
     The None verdict is exhaustive (complete search); running out of node
     budget raises instead of answering.
     """
-    family = expand_pattern(G, P)
     try:
-        constraints = _constraints_for(G, family)
+        constraints = _constraints_for(G, P)
     except NoDominatingSetError:
         constraints = None  # answered by _phase, after it has checked m
-    return _checked(G, family, _phase(G, constraints, m, budget, symmetry)[0])
+    return _checked(G, P, _phase(G, constraints, m, budget, symmetry)[0])
 
 
 def interference_index(
@@ -413,8 +400,7 @@ def interference_index(
     construction witnesses U in a 0-node phase.  A member that fails to
     dominate makes the index undefined (NoDominatingSetError).
     """
-    family = expand_pattern(G, P)
-    constraints = _constraints_for(G, family)
+    constraints = _constraints_for(G, P)
     lower = index_lower_bound(G.n)
     upper = universal_upper_bound(G.n)
     trace: List[PhaseOutcome] = []
@@ -425,7 +411,7 @@ def interference_index(
     if witness is None:
         witness = build_complete_interference(G.n)
         trace.append(PhaseOutcome(upper, True, 0))
-    return IndexResult(trace[-1].m, _checked(G, family, witness), lower, nodes, tuple(trace))
+    return IndexResult(trace[-1].m, _checked(G, P, witness), lower, nodes, tuple(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 
 import interfere
 from interfere.cli import main as cli_main
-from interfere.core import expand_pattern
 from interfere.index_search import _constraints_for, _Kernel
 
 
@@ -43,7 +42,7 @@ def forced_rule_on_off(G, P, m, budget=10**8):
     """One kernel search at m with neighbor counting on, then off (the forced
     table emptied): [(witness or None, nodes) on, (witness or None, nodes) off].
     Raises NoDominatingSetError when a member of P fails to dominate."""
-    constraints = _constraints_for(G, expand_pattern(G, P))
+    constraints = _constraints_for(G, P)
     runs = []
     for on in (True, False):
         kern = _Kernel(G, constraints, m, budget, True)

@@ -210,6 +210,14 @@ class TestIndex:
         assert code == BUDGET
         assert json.loads(out)["error"]["kind"] == "budget"
 
+    def test_dominating_pattern_cap_exits_three(self):
+        # the constraints are read off N(u), under the enumerations' order-16 cap
+        for pattern in ("all-dominating", "min-dominating"):
+            code, obj = run_cli_json(["index", "--graph", "path:17", "--pattern", pattern])
+            assert code == BUDGET
+            assert obj["error"] == {"kind": "budget",
+                                    "message": "dominating_constraints: n=17 exceeds cap 16"}
+
     def test_budget_message_names_the_given_budget(self):
         # refuting m=4 takes 98 nodes; m=5 is the construction's and takes none
         code, obj = run_cli_json(["index", "--graph", "complete:9", "--budget", "5"])

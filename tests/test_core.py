@@ -268,6 +268,39 @@ class TestPatterns:
         assert is_pattern_interference(itf.path(3), Pattern.explicit([]), lab)
 
 
+class TestDominatingPatternIdentity:
+    """is_pattern_interference decides the dominating pattern with no family:
+    f serves every dominating set iff each u has a w in N_G[u] with N_G[w]
+    inside N_H[u], H the overlap graph."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_per_set_check(self, n):
+        rng = random.Random(700 + n)
+        positive = 0
+        for G in itf.all_graphs(n):
+            family = [bit_list(D) for D in itf.minimal_dominating_sets(G)]
+            for lab in (random_labeling(n, 3, rng), random_labeling(n, 4, rng)):
+                want = all(brute_is_interference(G, D, lab) for D in family)
+                assert is_pattern_interference(G, Pattern.all_dominating(), lab) == want
+                positive += want
+        assert positive
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_accepts_kernel_witnesses(self, seed):
+        G = gnp(14, 0.7, seed)
+        witness = itf.exists_interference(G, Pattern.all_dominating(), 5)
+        assert is_pattern_interference(G, Pattern.all_dominating(), witness)
+        for D in itf.minimal_dominating_sets(G):
+            assert brute_is_interference(G, bit_list(D), witness)
+
+    def test_no_order_cap(self):
+        G = itf.path(17)
+        assert is_pattern_interference(G, Pattern.all_dominating(), build_complete_interference(17))
+        # disjoint labels leave H edgeless: every dominating set but V is missed
+        disjoint = SetLabeling(17, tuple(1 << v for v in range(17)))
+        assert not is_pattern_interference(G, Pattern.all_dominating(), disjoint)
+
+
 class TestCompleteness:
     def test_complete_detects_pairwise_overlap(self):
         assert is_complete_interference(SetLabeling(3, [1, 3, 5]))

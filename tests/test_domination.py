@@ -4,13 +4,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import interfere as itf
 from interfere import bit_list, mask_of
 
-from interfere.domination import down_set
+from interfere.domination import dominating_constraints, down_set
 
-from oracles import brute_is_dominating, brute_minimal_dominating_sets, gnp
+from oracles import (
+    brute_is_dominating,
+    brute_minimal_constraints,
+    brute_minimal_dominating_sets,
+    gnp,
+)
 
 
 class TestIsDominating:
@@ -156,3 +163,46 @@ class TestEnumeration:
         fam = itf.minimal_dominating_sets(itf.cycle(5))
         assert isinstance(fam, tuple)
         assert [bit_list(D) for D in fam] == [[0, 2], [0, 3], [1, 3], [1, 4], [2, 4]]
+
+
+def _agrees_with_enumeration(G):
+    """dominating_constraints(G) is sorted, repeats no pair, and holds the
+    subset-minimal pairs listed from the minimal dominating sets."""
+    got = dominating_constraints(G)
+    assert got == sorted(set(got)), itf.to_graph6(G)
+    kept, _ = brute_minimal_constraints(G, itf.minimal_dominating_sets(G))
+    assert {(u, frozenset(bit_list(C))) for u, C in got} == kept, itf.to_graph6(G)
+
+
+@st.composite
+def graphs_9_to_14(draw):
+    n = draw(st.integers(9, 14))
+    k = draw(st.integers(1, 9))  # each pair is kept with probability k/10
+    return itf.Graph(n, [
+        (u, v) for u in range(n) for v in range(u + 1, n) if draw(st.integers(0, 9)) < k
+    ])
+
+
+class TestDominatingConstraints:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_graph(self, n):
+        # disconnected graphs too: an isolated vertex is in every dominating
+        # set, so it has no pair, and it constrains no neighbor
+        for G in itf.all_graphs(n):
+            _agrees_with_enumeration(G)
+
+    @settings(derandomize=True, deadline=None)
+    @given(graphs_9_to_14())
+    def test_orders_9_to_14(self, G):
+        _agrees_with_enumeration(G)
+
+    def test_anchors(self):
+        # on C5 no neighbor w of 0 has N(w) inside N[0], so any one neighbor
+        # will do; on P3 both ends of the middle vertex need covering
+        assert dominating_constraints(itf.cycle(5))[:2] == [(0, 0b00010), (0, 0b10000)]
+        assert dominating_constraints(itf.path(3)) == [(0, 0b010), (1, 0b101), (2, 0b010)]
+
+    def test_cap(self):
+        with pytest.raises(itf.CapExceededError,
+                           match="^dominating_constraints: n=17 exceeds cap 16$"):
+            dominating_constraints(itf.path(17))

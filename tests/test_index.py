@@ -21,7 +21,7 @@ from interfere import (
     universal_upper_bound,
 )
 
-from interfere.bitset import bit_list
+from interfere.bitset import bit_list, mask_of
 from interfere.cli import bipartition
 from interfere.core import expand_pattern
 from interfere.index_search import _constraints_for, _Kernel
@@ -185,7 +185,7 @@ class TestSymmetryRules:
         G = complete_bipartite(2, 2)
 
         def twins(*sets):
-            kern = _Kernel(G, _constraints_for(G, sets), 3, 10**6, True)
+            kern = _Kernel(G, _constraints_for(G, Pattern.explicit(sets)), 3, 10**6, True)
             return dict(zip(kern.order, kern.twin))
 
         assert twins(0b0101) == {0: -1, 1: -1, 2: -1, 3: -1}
@@ -226,7 +226,7 @@ class TestNeighborCounting:
         # star:3 under {0}: each leaf's one candidate is the center, so F is
         # the star itself and only the center has F-degree >= 2
         G = itf.star(3)
-        kern = _Kernel(G, _constraints_for(G, [0b0001]), 3, 10**6, True)
+        kern = _Kernel(G, _constraints_for(G, Pattern.explicit([0b0001])), 3, 10**6, True)
         assert kern.forced == [(0, (1, 2, 3))]
 
 
@@ -250,7 +250,8 @@ class TestIndexAgainstScan:
 
 
 class TestImpliedConstraints:
-    """The kernel propagates each vertex's subset-minimal pairs only."""
+    """The kernel gets each vertex's subset-minimal pairs only: read off the
+    graph for the dominating pattern, listed from the sets for the others."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_connected_graph(self, n):
@@ -258,24 +259,23 @@ class TestImpliedConstraints:
             for P in patterns_of(G):
                 family = expand_pattern(G, P)
                 try:
-                    constraints = _constraints_for(G, family)
+                    constraints = _constraints_for(G, P)
                 except NoDominatingSetError:
                     continue
-                kern = _Kernel(G, constraints, index_lower_bound(n), 10**6, True)
-                got = {(u, frozenset(vs)) for u, vs in kern.constraints}
+                got = [(u, frozenset(bit_list(C))) for u, C in constraints]
                 kept, dropped = brute_minimal_constraints(G, family)
-                assert len(got) == len(kern.constraints), (itf.to_graph6(G), P.kind)
-                assert got == kept, (itf.to_graph6(G), P.kind)
-                assert len(constraints) == len(kept) + len(dropped)
+                assert constraints == sorted(constraints), (itf.to_graph6(G), P.kind)
+                assert len(got) == len(set(got)), (itf.to_graph6(G), P.kind)
+                assert set(got) == kept, (itf.to_graph6(G), P.kind)
                 for u, C in dropped:
                     assert any(w == u and K < C for w, K in kept), (itf.to_graph6(G), u, C)
 
 
 class TestPinnedSearch:
-    """Node counts, phases and witnesses of the kernel.  The witnesses are
-    those the kernel gave before it dropped implied pairs and before neighbor
-    counting: both remove only codes that lie in no solution, so the first
-    witness of the search stays the same."""
+    """Node counts, phases and witnesses of the kernel under the fail-first
+    order.  Dropping implied pairs leaves every fixpoint as it is, and neighbor
+    counting removes only codes that lie in no solution, so neither moves the
+    first witness of the search."""
 
     @pytest.mark.parametrize("G,P,trace,witness", [
         pytest.param(
@@ -284,14 +284,22 @@ class TestPinnedSearch:
             (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23),
             id="K6,6",
         ),
+        # the smaller side goes first as the smaller twin class; by degree
+        # alone the larger side would, and refuting m = 4 took 924 nodes
+        pytest.param(
+            complete_bipartite(4, 9), Pattern.all_dominating(),
+            [(4, False, 21), (5, True, 0)],
+            (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25),
+            id="K4,9",
+        ),
         pytest.param(
             gnp(10, 0.8, 5), Pattern.all_dominating(),
-            [(4, True, 11)], (10, 3, 6, 7, 14, 9, 15, 11, 13, 5),
+            [(4, True, 37)], (5, 7, 11, 3, 1, 6, 2, 13, 9, 15),
             id="G(10,0.8)#5",
         ),
         pytest.param(
             gnp(10, 0.8, 35), Pattern.all_dominating(),
-            [(4, True, 10)], (11, 12, 3, 5, 13, 6, 9, 7, 10, 14),
+            [(4, True, 12)], (5, 6, 7, 11, 2, 15, 3, 13, 14, 1),
             id="G(10,0.8)#35",
         ),
         pytest.param(
@@ -310,9 +318,22 @@ class TestPinnedSearch:
         # and here early in the search
         pytest.param(
             gnp(14, 0.7, 1), Pattern.all_dominating(),
-            [(4, False, 392), (5, True, 0)],
+            [(4, False, 52), (5, True, 0)],
             (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27),
             id="G(14,0.7)#1",
+        ),
+        # 26,846 and 23,479 nodes under the former heaviest-first order
+        pytest.param(
+            gnp(14, 0.7, 0), Pattern.all_dominating(),
+            [(4, False, 2137), (5, True, 0)],
+            (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27),
+            id="G(14,0.7)#0",
+        ),
+        pytest.param(
+            gnp(14, 0.7, 2), Pattern.all_dominating(),
+            [(4, False, 610), (5, True, 0)],
+            (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27),
+            id="G(14,0.7)#2",
         ),
     ])
     def test_nodes_trace_and_witness(self, G, P, trace, witness):
@@ -323,22 +344,25 @@ class TestPinnedSearch:
 
 
 class TestPropagation:
-    """The reference runs the rules on every pair the family gives, the
-    kernel on the subset-minimal ones only; both reach one fixpoint."""
+    """The reference runs the rules on every pair the listed family gives,
+    the kernel on the subset-minimal ones that _constraints_for passes it;
+    both reach one fixpoint."""
 
     @staticmethod
-    def _agrees(rng, G, D_masks):
+    def _agrees(rng, G, P):
         """Propagate from random commitments both ways and compare.  Returns
         (pairs, pairs propagated, whether the kernel with neighbor counting
         off reaches another fixpoint), or None when a member fails to
         dominate."""
         try:
-            constraints = _constraints_for(G, D_masks)
+            kern_constraints = _constraints_for(G, P)
         except NoDominatingSetError:
             return None
+        kept, dropped = brute_minimal_constraints(G, expand_pattern(G, P))
+        constraints = sorted((u, mask_of(C)) for u, C in kept | dropped)
         n = G.n
         m = index_lower_bound(n) + rng.randint(0, 1)
-        kern = _Kernel(G, constraints, m, 10**6, True)
+        kern = _Kernel(G, kern_constraints, m, 10**6, True)
         dom = [kern.all_codes] * n
         for v, code in zip(
             rng.sample(range(n), rng.randint(0, n)),
@@ -364,10 +388,10 @@ class TestPropagation:
                 (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
             ])
             if rng.random() < 0.5:
-                D_masks = itf.minimal_dominating_sets(G)
+                P = Pattern.all_dominating()
             else:
-                D_masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))]
-            if self._agrees(rng, G, D_masks) is not None:
+                P = Pattern.explicit([rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))])
+            if self._agrees(rng, G, P) is not None:
                 checked += 1
 
     def test_orders_9_and_10_minimal_dominating(self):
@@ -379,7 +403,7 @@ class TestPropagation:
             G = itf.Graph(n, [
                 (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
             ])
-            counts = self._agrees(rng, G, itf.minimal_dominating_sets(G))
+            counts = self._agrees(rng, G, Pattern.all_dominating())
             pairs += counts[0]
             propagated += counts[1]
         assert 2 * propagated < pairs  # most pairs are implied here
@@ -394,7 +418,7 @@ class TestPropagation:
             G = itf.Graph(n, [
                 (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.8
             ])
-            fired += self._agrees(rng, G, itf.minimal_dominating_sets(G))[2]
+            fired += self._agrees(rng, G, Pattern.all_dominating())[2]
         assert fired
 
     def test_nested_explicit_members(self):
@@ -413,7 +437,7 @@ class TestPropagation:
             if rng.random() < 0.5:
                 D_masks.append(rng.randrange(1, 1 << n))
             rng.shuffle(D_masks)
-            counts = self._agrees(rng, G, D_masks)
+            counts = self._agrees(rng, G, Pattern.explicit(D_masks))
             if counts is not None:
                 checked += 1
                 dropped += counts[0] > counts[1]
@@ -475,14 +499,19 @@ class TestIndexMachinery:
             exists_interference(itf.path(3), Pattern.explicit([0b001]), 15)
         assert exists_interference(itf.path(3), Pattern.explicit([0b001]), 2) is None
 
-    def test_expands_the_family_once(self, monkeypatch):
+    def test_lists_no_dominating_set(self, monkeypatch):
+        # the constraints and the witness check both read N(u) directly
         calls = []
-        enumerate_minimal = itf.core.minimal_dominating_sets
-        monkeypatch.setattr(
-            itf.core, "minimal_dominating_sets", lambda G: calls.append(G) or enumerate_minimal(G)
-        )
-        res = interference_index(complete(5), Pattern.all_dominating())
-        assert len(res.trace) == 2 and len(calls) == 1
+        enumerate_minimal = itf.domination.minimal_dominating_sets
+        for module in (itf.core, itf.domination):
+            monkeypatch.setattr(
+                module, "minimal_dominating_sets",
+                lambda G: calls.append(G) or enumerate_minimal(G),
+            )
+        for G in (complete(5), gnp(10, 0.8, 5), gnp(14, 0.7, 2)):
+            res = interference_index(G, Pattern.all_dominating())
+            assert exists_interference(G, Pattern.all_dominating(), res.index) is not None
+        assert calls == []
 
     def test_at_most_one_search(self, monkeypatch):
         calls = []
