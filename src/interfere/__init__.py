@@ -36,7 +36,6 @@ from .domination import (
     all_dominating_sets,
     dominating_family,
     is_dominating,
-    is_minimal_dominating,
     minimal_dominating_sets,
 )
 from .dpd import (

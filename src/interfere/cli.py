@@ -230,6 +230,8 @@ def cmd_gen(args) -> Optional[dict]:
         for G in graphs:
             print(to_graph6(G))
         return None
+    if args.connected:
+        raise ValueError("--connected applies only with --catalog")
     G = parse_family_spec(args.family) if args.family else resolve_graph(args.graph)
     if args.format == "graph6":
         print(to_graph6(G))
@@ -543,6 +545,8 @@ def cmd_sweep(args) -> dict:
         raise ValueError(f"--max-n must be >= {min_n}, got {args.max_n}")
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
+    if args.graphs_file and args.suite == "index-kn":
+        raise ValueError("--graphs-file does not apply to --suite index-kn")
     graph_count, check_count, mismatches = runner(args)
     mismatches.sort(key=lambda m: (m["graph6"], m["kind"], str(m["set"])))
     return {
@@ -651,7 +655,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=500,
                    help="random target sets per graph beyond the exhaustive size")
-    p.add_argument("--graphs-file", default=None, help="graph6 lines replacing the catalog")
+    p.add_argument("--graphs-file", default=None, help="graph6 lines replacing the catalog (not with index-kn)")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -1,11 +1,11 @@
-"""Dominating sets and exact enumeration of the minimal ones.
+"""Dominating sets, with the minimal ones read off dominating_family.
 
 dominating_family decides every D ⊆ V at once, as one int whose bit D is set
-iff D dominates G: the complement of down_set over the masks V minus N[u],
-since D fails exactly when it misses some N[u].  down_set is the package's one
-builder of per-set families, 2^n-bit ints built by shifts; is_dominating
-decides one set.  dominating_constraints reads, with no enumeration, which
-sets C = D ∩ N(u) the dominating sets D leave each vertex u outside them.
+iff D dominates G: the complement of down_set, the package's one builder of
+per-set families, over the masks V minus N[u], since D fails exactly when it
+misses some N[u].  Both listings read that int; is_dominating decides one
+set.  dominating_constraints reads, with no enumeration, which sets
+C = D ∩ N(u) the dominating sets D leave each vertex u outside them.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, List, Tuple
 
-from .bitset import bit_list, iter_bits, mask_of
+from .bitset import iter_bits, mask_of
 from .errors import CapExceededError
 from .graphs import Graph, closed_neighborhood
 
@@ -30,46 +30,15 @@ def is_dominating(G: Graph, D: int) -> bool:
     return covered == G.full_mask
 
 
-def is_minimal_dominating(G: Graph, D: int) -> bool:
-    """Dominating, and removing any single vertex breaks domination."""
-    if not is_dominating(G, D):
-        return False
-    return all(not is_dominating(G, D & ~(1 << v)) for v in iter_bits(D))
-
-
-def _canonical_order(sets) -> Tuple[int, ...]:
-    return tuple(sorted(sets, key=lambda D: (D.bit_count(), bit_list(D))))
-
-
 def minimal_dominating_sets(G: Graph) -> Tuple[int, ...]:
-    """Every minimal dominating set, ordered by size then lexicographically.
-
-    Branches on an uncovered vertex with the fewest remaining candidate
-    dominators; sibling branches exclude earlier candidates so no chosen set
-    is revisited.  Non-minimal leaves are filtered by the direct definition.
-    """
+    """Every minimal dominating set, by size, then lexicographically: the
+    members of dominating_family that are no member D plus a vertex v ∉ D."""
     check_cap("minimal_dominating_sets", G.n)
-    closed = [closed_neighborhood(G, v) for v in G.vertices()]
-    found = set()
-
-    def rec(chosen: int, covered: int, forbidden: int) -> None:
-        if covered == G.full_mask:
-            if is_minimal_dominating(G, chosen):
-                found.add(chosen)
-            return
-        best_u, best_cands = -1, -1
-        uncovered = G.full_mask & ~covered
-        for u in iter_bits(uncovered):
-            cands = closed[u] & ~forbidden
-            if best_u < 0 or cands.bit_count() < best_cands.bit_count():
-                best_u, best_cands = u, cands
-        excl = 0
-        for v in iter_bits(best_cands):
-            rec(chosen | (1 << v), covered | closed[v], forbidden | excl)
-            excl |= 1 << v
-
-    rec(0, 0, 0)
-    return _canonical_order(found)
+    family, full = dominating_family(G), G.full_mask
+    larger = 0
+    for v in G.vertices():
+        larger |= (family & down_set("minimal_dominating_sets", G.n, [full ^ 1 << v])) << (1 << v)
+    return _members(family & ~larger)
 
 
 def dominating_constraints(G: Graph) -> List[Tuple[int, int]]:
@@ -147,5 +116,15 @@ def dominating_family(G: Graph) -> int:
 
 def all_dominating_sets(G: Graph) -> Tuple[int, ...]:
     """Every dominating set: the members of dominating_family."""
-    bits = bin(dominating_family(G))[:1:-1]  # character D is bit D, in linear time
-    return _canonical_order(D for D, bit in enumerate(bits) if bit == "1")
+    return _members(dominating_family(G))
+
+
+def _members(family: int) -> Tuple[int, ...]:
+    """The sets D whose bit family sets, by size, then lexicographically; the
+    latter is descending order of bin(D)[:1:-1], whose character v is bit v."""
+    bits = bin(family)[:1:-1]  # character D is bit D
+    found, D = [], bits.find("1")
+    while D >= 0:
+        found.append(D)
+        D = bits.find("1", D + 1)
+    return tuple(sorted(found, key=lambda D: (-D.bit_count(), bin(D)[:1:-1]), reverse=True))

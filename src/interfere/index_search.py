@@ -47,15 +47,16 @@ deepest.  Both symmetry rules hold along any fixed order.
 
 Both exhaustive searches here, the kernel and max_cross_intersecting, read
 two tables built once per m: the codes meeting each element set
-(_meeting_codes) and the codes first-occurrence order admits after each
-prefix of used elements (_first_occurrence).  symmetry=False gives the kernel
-all-codes masks in place of the latter and no twin links; the propagation
-rules always run.  Every assignment counts against the node budget;
-exceeding it raises SearchBudgetExceeded rather than returning a verdict.
-interference_index runs at most one search, since the doubling construction
-answers the upper bound.  _checked tests every witness against the pattern
-before it is returned, with core.is_pattern_interference, which decides the
-dominating pattern without listing its sets.
+(_meeting_codes, from domination.down_set) and the codes first-occurrence
+order admits after each prefix of used elements (_first_occurrence).
+symmetry=False gives the kernel all-codes masks in place of the latter and
+no twin links; the propagation rules always run.  Every assignment counts
+against the node budget; exceeding it raises SearchBudgetExceeded rather
+than returning a verdict.  interference_index runs at most one search, since
+the doubling construction answers the upper bound.  _checked tests every
+witness against the pattern before it is returned, with
+core.is_pattern_interference, which decides the dominating pattern without
+listing its sets.
 """
 from __future__ import annotations
 
@@ -66,7 +67,7 @@ from .bitset import bit_list, iter_bits
 from .core import (
     Pattern, SetLabeling, build_complete_interference, expand_pattern, is_pattern_interference
 )
-from .domination import dominating_constraints, minimal_pairs
+from .domination import dominating_constraints, down_set, minimal_pairs
 from .errors import CapExceededError, NoDominatingSetError, SearchBudgetExceeded
 from .graphs import Graph
 
@@ -172,14 +173,11 @@ def _twin_classes(n: int, constraints) -> List[int]:
 
 @lru_cache(maxsize=4)  # a table has 4^m bits: keep only the latest few sizes
 def _meeting_codes(m: int) -> Tuple[int, ...]:
-    """sup[e] = mask of the nonzero codes over m elements that meet element-mask e."""
+    """sup[e] = mask of the nonzero codes over m elements that meet element-mask
+    e: all codes but the down_set of K minus e."""
     K = (1 << m) - 1
-    # subsets[x] = mask of codes that are subsets of element-mask x (incl. 0)
-    subsets = [1] * (K + 1)
-    for x in range(1, K + 1):
-        low = x & -x
-        subsets[x] = subsets[x ^ low] | (subsets[x ^ low] << low)
-    return tuple(subsets[K] ^ subsets[K ^ e] for e in range(K + 1))
+    codes = down_set("_meeting_codes", m, [K])
+    return tuple(codes ^ down_set("_meeting_codes", m, [K ^ e]) for e in range(K + 1))
 
 
 @lru_cache(maxsize=None)

@@ -47,6 +47,18 @@ class TestGen:
         code, out = run_cli(["gen", "--catalog", "3", "--format", "edges"])
         assert code == USAGE
 
+    # --connected filters the catalog, so with a single graph it would be
+    # silently ignored
+    @pytest.mark.parametrize("argv", [
+        ["--graph", "wheel:3", "--connected"],
+        ["--family", "path:3", "--connected"],
+    ], ids=["graph", "family"])
+    def test_connected_without_catalog_is_usage(self, argv):
+        code, obj = run_cli_json(["gen", *argv])
+        assert code == USAGE
+        assert obj["error"] == {"kind": "usage",
+                                "message": "--connected applies only with --catalog"}
+
     def test_file_spec(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("3\n0 1\n1 2\n")
@@ -514,8 +526,8 @@ class TestSweep:
                                 "message": "nbd-oracle sweep: n=17 exceeds cap 16"}
 
     # below its smallest order a suite would check nothing; nbd-oracle starts
-    # at order 1, lg-injectivity and index-kn at order 2 (ids name the suite
-    # unless it is nbd-oracle)
+    # at order 1, lg-injectivity and index-kn at order 2; a graph file would
+    # go unread by index-kn (ids name the suite unless it is nbd-oracle)
     @pytest.mark.parametrize("suite, flag, value, message", [
         pytest.param(*case, id="-".join(case[1:] if case[0] == "nbd-oracle" else case))
         for case in [
@@ -526,6 +538,8 @@ class TestSweep:
             ("lg-injectivity", "--max-n", "0", "--max-n must be >= 2, got 0"),
             ("index-kn", "--max-n", "1", "--max-n must be >= 2, got 1"),
             ("index-kn", "--max-n", "-1", "--max-n must be >= 2, got -1"),
+            ("index-kn", "--graphs-file", "graphs.g6",
+             "--graphs-file does not apply to --suite index-kn"),
         ]
     ])
     def test_vacuous_sweep_is_a_usage_error(self, suite, flag, value, message):

@@ -1,4 +1,4 @@
-"""Dominating-set predicates and minimal dominating set enumeration."""
+"""Dominating-set predicates, families and the minimal dominating sets."""
 
 import itertools
 import random
@@ -108,21 +108,12 @@ class TestDownSet:
             down_set("down", 17, [1])
 
 
-class TestMinimality:
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_predicate_matches_definition(self, n):
-        for G in itf.all_graphs(n):
-            for D in range(1, 1 << n):
-                want = itf.is_dominating(G, D) and all(
-                    not itf.is_dominating(G, D & ~(1 << v)) for v in bit_list(D)
-                )
-                assert itf.is_minimal_dominating(G, D) == want
-
-
 class TestEnumeration:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", [*range(1, 7), *range(9, 13)])
     def test_matches_subset_scan(self, n):
-        for G in itf.all_graphs(n):
+        graphs = itf.all_graphs(n) if n <= 6 else [
+            gnp(n, p, seed) for p in (0.2, 0.5, 0.8) for seed in range(2)]
+        for G in graphs:
             fam = itf.minimal_dominating_sets(G)
             got = {frozenset(bit_list(D)) for D in fam}
             assert got == set(brute_minimal_dominating_sets(G)), itf.to_graph6(G)
@@ -155,9 +146,29 @@ class TestEnumeration:
             for D in itf.all_dominating_sets(G):
                 assert any(M & ~D == 0 for M in minimals)
 
+    # counts confirmed by a scan of all 2^n subsets
+    @pytest.mark.parametrize("spec, count", [
+        ("path:16", 191), ("cycle:16", 222), ("wheel:15", 159), ("crown:8", 256),
+        ("complete:16", 16),
+    ])
+    def test_counts_at_orders_15_and_16(self, spec, count):
+        G = itf.parse_family_spec(spec)
+        fam = itf.minimal_dominating_sets(G)
+        assert len(fam) == len(set(fam)) == count
+        for D in fam:
+            assert itf.is_dominating(G, D)
+            assert not any(itf.is_dominating(G, D ^ 1 << v) for v in bit_list(D))
+
     def test_cap_guard(self):
-        with pytest.raises(itf.CapExceededError):
+        with pytest.raises(itf.CapExceededError,
+                           match="^minimal_dominating_sets: n=17 exceeds cap 16$"):
             itf.minimal_dominating_sets(itf.complete(17))
+
+    def test_listings_are_in_canonical_order(self):
+        # dense and sparse families alike: by size, then by vertex list
+        for G in (itf.complete(12), gnp(12, 0.5, 0), itf.path(9), itf.Graph(8)):
+            for fam in (itf.all_dominating_sets(G), itf.minimal_dominating_sets(G)):
+                assert list(fam) == sorted(fam, key=lambda D: (D.bit_count(), bit_list(D)))
 
     def test_returns_canonically_ordered_tuple(self):
         fam = itf.minimal_dominating_sets(itf.cycle(5))

@@ -24,7 +24,7 @@ from interfere import (
 from interfere.bitset import bit_list, mask_of
 from interfere.cli import bipartition
 from interfere.core import expand_pattern
-from interfere.index_search import _constraints_for, _Kernel
+from interfere.index_search import _constraints_for, _Kernel, _meeting_codes
 
 from conftest import forced_rule_on_off
 from oracles import (
@@ -512,6 +512,14 @@ class TestIndexMachinery:
             res = interference_index(G, Pattern.all_dominating())
             assert exists_interference(G, Pattern.all_dominating(), res.index) is not None
         assert calls == []
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_meeting_codes(self, m):
+        # bit c of sup[e]: the nonzero code c shares an element with e
+        sup = _meeting_codes(m)
+        assert len(sup) == 1 << m
+        for e, codes in enumerate(sup):
+            assert codes == mask_of(c for c in range(1, 1 << m) if c & e), (m, e)
 
     def test_at_most_one_search(self, monkeypatch):
         calls = []
