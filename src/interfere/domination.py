@@ -48,23 +48,27 @@ def dominating_constraints(G: Graph) -> List[Tuple[int, int]]:
     each w in N(u) with N(w) ⊆ N[u].  Such a C extends to the dominating set
     C ∪ (V ∖ N[u]), as every other w has a neighbor outside N[u].  Branches on
     the uncovered w with the fewest choices in N[w] ∩ N(u), each excluding the
-    choices of earlier siblings."""
+    choices of earlier siblings, so each cover C is reached once; it is kept
+    when each member covers a needed vertex that no other member covers."""
     check_cap("dominating_constraints", G.n)
     closed = [closed_neighborhood(G, v) for v in G.vertices()]
-    pairs = set()
 
-    def rec(u: int, C: int, left: int, allowed: int) -> None:
+    def rec(C: int, left: int, allowed: int, twice: int) -> None:  # twice: covered by two members
         if not left:
-            pairs.add((u, C))
+            if not twice or all(closed[v] & need & ~twice for v in iter_bits(C)):
+                covers.append(C)
             return
         choices = min((closed[w] & allowed for w in iter_bits(left)), key=int.bit_count)
         for v in iter_bits(choices):
-            rec(u, C | 1 << v, left & ~closed[v], allowed)
+            rec(C | 1 << v, left & ~closed[v], allowed, twice | closed[v] & need & ~left)
             allowed ^= 1 << v
 
+    pairs: List[Tuple[int, int]] = []
     for u, cu in enumerate(closed):
-        rec(u, 0, mask_of(w for w in iter_bits(cu) if closed[w] & ~cu == 0), G.adj[u])
-    return minimal_pairs(sorted(pairs))
+        need, covers = mask_of(w for w in iter_bits(cu) if closed[w] & ~cu == 0), []
+        rec(0, need, G.adj[u], 0)
+        pairs.extend((u, C) for C in sorted(covers))
+    return pairs
 
 
 def minimal_pairs(pairs) -> List[Tuple[int, int]]:

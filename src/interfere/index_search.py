@@ -13,6 +13,10 @@ set) and prunes with:
   refreshed when its domain shrinks;
 * a dual rule: when only one candidate vertex can still support u, that
   vertex keeps only codes meeting u's remaining elements;
+* one-candidate pairs (u, {v}) skip those two rules as the edges of the
+  forced graph F (f(u) and f(v) must meet): each vertex keeps the codes meeting
+  each F-neighbor's element union, both rules of each edge in both directions
+  (arc consistency; Mackworth, Artif. Intell. 8, 1977);
 * implied constraints are not propagated: (u, Vs) is dropped when u has a
   constraint on a strict subset of Vs, whose fixpoint already meets both
   rules of (u, Vs), so the monotone rules reach the same fixpoint.  The
@@ -21,20 +25,18 @@ set) and prunes with:
   other patterns list their sets and drop the implied pairs;
 * all-different (labels must be pairwise distinct): the committed codes
   leave every other domain, and the union of the domains must hold n codes;
-* neighbor counting on the forced graph F, whose edges are the pairs
-  (u, {v}) with one candidate (f(u) and f(v) must meet): a vertex u of
-  F-degree d >= 2 keeps a code c only if the union of its F-neighbors'
-  domains holds at least d codes that meet c and differ from it, since those
-  neighbors take pairwise distinct codes, each meeting c and none equal to
-  it (Solnon, Artif. Intell. 174, 2010).  At the root this is a degree
-  filter.  Degree-1 vertices are left to the support rule and all-different;
-  an empty forced table turns the rule off;
+* neighbor counting on F: a vertex u of F-degree d >= 2 keeps a code c only
+  if its F-neighbors' domains hold at least d codes that meet c and differ
+  from it, since those neighbors take pairwise distinct codes, each meeting
+  c and none equal to it (Solnon, Artif. Intell. 174, 2010): a degree filter
+  at the root.  An empty forced table turns this rule off, not F's edges;
 * first-occurrence symmetry breaking: along the fixed assignment order,
   each new label may introduce only a contiguous block of fresh ground
   elements, so solutions are explored once per ground-permutation orbit;
 * twin ordering: vertices whose transposition maps the constraint set onto
   itself are interchangeable, so their codes must increase along the
-  assignment order.  The lexicographically least labeling of each orbit
+  assignment order; a transposition is tested only on vertices whose pairs'
+  candidate counts agree.  The lexicographically least labeling of each orbit
   under vertex-twin and ground permutations, read in assignment order,
   obeys both symmetry rules (Crawford, Ginsberg, Luks & Roy, KR 1996; Law &
   Lee, CP 2004), so no orbit loses its solutions.
@@ -145,9 +147,17 @@ def _twin_classes(n: int, constraints) -> List[int]:
     constraint set onto itself (v itself when there is none).
 
     Such transpositions generate the full symmetric group on each class, so
-    one test against each class's first member decides membership.
+    one test against each class's first member decides membership.  It runs
+    only on vertices of one profile, which such a transposition keeps: the
+    sorted candidate counts of their own pairs (negated) and of pairs naming them.
     """
     cset = set(constraints)
+    profile: List[list] = [[] for _ in range(n)]
+    for w, cands in constraints:
+        profile[w].append(-cands.bit_count())
+        for v in iter_bits(cands):
+            profile[v].append(cands.bit_count())
+    profile = [sorted(p) for p in profile]
 
     def swaps(u: int, v: int) -> bool:
         t = {u: v, v: u}
@@ -163,7 +173,7 @@ def _twin_classes(n: int, constraints) -> List[int]:
     reps: List[int] = []
     for v in range(n):
         for u in reps:
-            if swaps(u, v):
+            if profile[u] == profile[v] and swaps(u, v):
                 cls[v] = u
                 break
         else:
@@ -201,17 +211,16 @@ class _Kernel:
         self.nodes = 0
         # (element bit, codes holding that element), to read a domain's element union
         self.elem_codes = [(1 << e, sup[1 << e]) for e in range(m)]
-        self.constraints = [(u, tuple(iter_bits(cands))) for u, cands in constraints]
-        # the forced graph F: a one-candidate pair (u, {v}) forces f(u) and
-        # f(v) to meet; forced lists (u, F-neighbors) for F-degree >= 2
+        self.constraints = [(u, tuple(iter_bits(c))) for u, c in constraints if c & (c - 1)]
+        # the forced graph F: a one-candidate pair (u, {v}) forces f(u) and f(v) to
+        # meet; edges lists (u, F-neighbors) for F-degree >= 1, forced those of >= 2
         fnbrs = [0] * self.n
-        for u, vs in self.constraints:
-            if len(vs) == 1:
-                fnbrs[u] |= 1 << vs[0]
-                fnbrs[vs[0]] |= 1 << u
-        self.forced = [
-            (u, tuple(iter_bits(ws))) for u, ws in enumerate(fnbrs) if ws & (ws - 1)
-        ]
+        for u, c in constraints:
+            if c & (c - 1) == 0:
+                fnbrs[u] |= c
+                fnbrs[c.bit_length() - 1] |= 1 << u
+        self.edges = [(u, tuple(iter_bits(ws))) for u, ws in enumerate(fnbrs) if ws]
+        self.forced = [(u, ws) for u, ws in self.edges if len(ws) > 1]
         # fail-first: small twin classes, then low degree in G, come first
         cls = _twin_classes(self.n, constraints) if symmetry else range(self.n)
         size = [0] * self.n
@@ -260,6 +269,17 @@ class _Kernel:
             if union_all.bit_count() < n:
                 return False
             eu = [union(d) for d in dom]
+            # F's edges, listed at both ends: u meets each F-neighbor's elements
+            for u, ws in self.edges:
+                nd = du = dom[u]
+                for w in ws:
+                    nd &= sup[eu[w]]
+                if nd != du:
+                    if nd == 0:
+                        return False
+                    dom[u] = nd
+                    eu[u] = union(nd)
+                    changed = True
             for u, vs in self.constraints:
                 big = 0
                 for v in vs:

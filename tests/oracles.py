@@ -18,7 +18,8 @@ the package's certificate search reaches row by row; that refinement,
 reference_refine_colors, compares sorted neighbor-color tuples where the
 package counts neighbors per color cell.  brute_automorphism_count tries
 every vertex permutation, where the package generates the group from the
-automorphisms its search meets.  scan_index asks the
+automorphisms its search meets.  brute_twin_classes tries every vertex
+transposition, where the package screens them by profile.  scan_index asks the
 package's exists_interference at every m between the index bounds, where
 interference_index trusts the doubling construction at the upper one.
 """
@@ -301,6 +302,22 @@ def brute_minimal_constraints(G: Graph, family):
     }
     kept = {(u, C) for u, C in pairs if not any(w == u and B < C for w, B in pairs)}
     return kept, pairs - kept
+
+
+def brute_twin_classes(n: int, constraints):
+    """cls[v] = the least u whose transposition with v maps the set of
+    (vertex, candidate set) pairs onto itself, v itself when none does.
+
+    Tries every transposition on every pair, as sets; the package tests only
+    against each class's first member, and only when two profiles agree.
+    """
+    pairs = {(u, frozenset(bit_list(C))) for u, C in constraints}
+
+    def swaps(u, v):
+        t = {u: v, v: u}
+        return {(t.get(w, w), frozenset(t.get(x, x) for x in C)) for w, C in pairs} == pairs
+
+    return [next(u for u in range(v + 1) if u == v or swaps(u, v)) for v in range(n)]
 
 
 def brute_max_cross_intersecting(r: int, m: int) -> int:

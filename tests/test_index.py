@@ -24,7 +24,7 @@ from interfere import (
 from interfere.bitset import bit_list, mask_of
 from interfere.cli import bipartition
 from interfere.core import expand_pattern
-from interfere.index_search import _constraints_for, _Kernel, _meeting_codes
+from interfere.index_search import _constraints_for, _Kernel, _meeting_codes, _twin_classes
 
 from conftest import forced_rule_on_off
 from oracles import (
@@ -32,6 +32,7 @@ from oracles import (
     brute_is_interference,
     brute_max_cross_intersecting,
     brute_minimal_constraints,
+    brute_twin_classes,
     gnp,
     reference_propagate,
     scan_index,
@@ -192,6 +193,62 @@ class TestSymmetryRules:
         assert twins(0b0101, 0b0110, 0b1001, 0b1010) == {0: -1, 1: 0, 2: -1, 3: 2}
 
 
+def circulant(n, jumps):
+    return itf.Graph(n, {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
+
+
+# vertex-transitive graphs: every vertex has one profile, but few are twins
+VERTEX_TRANSITIVE = (
+    [itf.cycle(n) for n in range(3, 11)]
+    + [circulant(n, (1, 2)) for n in range(6, 11)]
+    + [circulant(8, (1, 4)), circulant(10, (2, 5))]
+    + [complete_bipartite(r, r) for r in range(1, 6)]
+    + [complete_multipartite(*[2] * k) for k in range(2, 6)]
+    + [itf.Graph(2 * r, [(u, r + v) for u in range(r) for v in range(r) if u != v])
+       for r in range(3, 6)]  # crown graphs: K_{r,r} minus a perfect matching
+    + [itf.Graph(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3) if u < u ^ 1 << b])]
+    + [itf.Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                 + [(i, 5 + i) for i in range(5)])]  # the Petersen graph
+)
+
+
+class TestTwinClasses:
+    """The profile screen drops no twin: _twin_classes equals the test of
+    every transposition on the whole pair set, for the dominating, singleton
+    and explicit patterns of graphs of order 2-10."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(28)
+        graphs = VERTEX_TRANSITIVE + TWIN_RICH + [
+            gnp(n, p, seed) for n in range(2, 11) for p in (0.3, 0.5, 0.8) for seed in range(3)
+        ]
+        for G in graphs:
+            yield G, Pattern.all_dominating()
+            yield G, Pattern.singletons()
+            fam = itf.minimal_dominating_sets(G)
+            for _ in range(2):
+                yield G, Pattern.explicit(rng.sample(fam, rng.randint(1, min(3, len(fam)))))
+
+    def test_matches_every_transposition(self):
+        twinned = twin_free_transitive = 0
+        for G, P in self._cases():
+            try:
+                constraints = _constraints_for(G, P)
+            except NoDominatingSetError:
+                continue
+            want = brute_twin_classes(G.n, constraints)
+            assert _twin_classes(G.n, constraints) == want, (itf.to_graph6(G), P.kind)
+            twinned += want != list(range(G.n))
+            # every profile is equal here, so the transposition tests decide
+            twin_free_transitive += (
+                want == list(range(G.n)) and P.kind == Pattern.ALL_DOMINATING
+                and any(G is H for H in VERTEX_TRANSITIVE)
+            )
+        assert twinned and twin_free_transitive
+
+
 class TestNeighborCounting:
     """Neighbor counting removes only codes that lie in no solution: with the
     forced table emptied, the search gives the same verdict and the same first
@@ -292,6 +349,32 @@ class TestPinnedSearch:
             (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25),
             id="K4,9",
         ),
+        # the other index-sym graphs, in the generated labeling (parts in order)
+        pytest.param(
+            complete(11), Pattern.all_dominating(),
+            [(4, False, 0), (5, True, 0)], (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21),
+            id="K11",
+        ),
+        pytest.param(
+            complete(12), Pattern.all_dominating(),
+            [(4, False, 0), (5, True, 0)], (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23),
+            id="K12",
+        ),
+        pytest.param(
+            complete_bipartite(5, 6), Pattern.all_dominating(),
+            [(4, True, 19)], (3, 5, 7, 10, 12, 6, 9, 11, 13, 14, 15),
+            id="K5,6",
+        ),
+        pytest.param(
+            complete_bipartite(5, 7), Pattern.all_dominating(),
+            [(4, False, 78), (5, True, 0)], (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23),
+            id="K5,7",
+        ),
+        pytest.param(
+            complete_multipartite(2, 2, 2, 2, 2), Pattern.all_dominating(),
+            [(4, True, 10)], (3, 7, 5, 10, 6, 9, 11, 13, 14, 15),
+            id="K2,2,2,2,2",
+        ),
         pytest.param(
             gnp(10, 0.8, 5), Pattern.all_dominating(),
             [(4, True, 37)], (5, 7, 11, 3, 1, 6, 2, 13, 9, 15),
@@ -377,7 +460,17 @@ class TestPropagation:
         off = list(dom)
         kern.forced = []
         off_ok = kern._propagate(off)
-        return len(constraints), len(kern.constraints), (ok, ok and got) != (off_ok, off_ok and off)
+        if off_ok:
+            # with neighbor counting off, the pair rule alone holds each
+            # one-candidate pair (u, {v}) arc-consistent, in both directions
+            for u, C in kern_constraints:
+                if C & (C - 1) == 0:
+                    v = C.bit_length() - 1
+                    for a, b in ((u, v), (v, u)):
+                        assert all(
+                            any(c & e for e in bit_list(off[b])) for c in bit_list(off[a])
+                        ), (itf.to_graph6(G), u, v)
+        return len(constraints), len(kern_constraints), (ok, ok and got) != (off_ok, off_ok and off)
 
     def test_matches_reference_fixpoint(self):
         rng = random.Random(7)
