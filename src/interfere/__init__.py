@@ -31,6 +31,7 @@ from .core import (
     is_valid_labeling,
     overlap_graph,
     overlap_violation,
+    pattern_violations,
 )
 from .domination import (
     all_dominating_sets,

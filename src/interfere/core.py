@@ -7,14 +7,15 @@ is an *interference* of a nonempty vertex set D (with respect to the
 v in D whose label meets f(u).  Equivalently, D dominates the overlap
 graph H_f: the edges of I whose endpoint labels meet.  It is an
 interference of a *family* of sets when it is one for every member.
+pattern_violations decides every family; it reads the dominating pattern
+off closed neighborhoods, with no listing and no order cap.
 """
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitset import bit_list, check_set, iter_bits, mask_of
 from .errors import GraphFormatError
-from .domination import is_dominating, minimal_dominating_sets
 from .graphs import Graph, closed_neighborhood
 
 
@@ -155,12 +156,7 @@ class Pattern(NamedTuple):
 
 
 def expand_pattern(G: Graph, P: Pattern) -> Tuple[int, ...]:
-    """Materialize the family for graph G.
-
-    ALL_DOMINATING expands to the minimal dominating sets: an interference
-    of every minimal dominating set is an interference of every dominating
-    superset as well.
-    """
+    """The listed family of P on G; the dominating pattern has none here."""
     if P.kind == Pattern.EXPLICIT:
         if any(D >> G.n for D in P.sets):
             raise ValueError("explicit pattern has vertices outside the graph")
@@ -168,7 +164,7 @@ def expand_pattern(G: Graph, P: Pattern) -> Tuple[int, ...]:
     if P.kind == Pattern.SINGLETONS:
         return tuple(1 << v for v in G.vertices())
     if P.kind == Pattern.ALL_DOMINATING:
-        return minimal_dominating_sets(G)
+        raise ValueError("list dominating sets with domination.minimal_dominating_sets")
     if P.kind == Pattern.CROSS_PAIRS:
         side_u, side_w = P.parts
         if (side_u | side_w) >> G.n:
@@ -179,25 +175,32 @@ def expand_pattern(G: Graph, P: Pattern) -> Tuple[int, ...]:
     raise ValueError(f"unknown pattern kind {P.kind!r}")
 
 
-def is_pattern_interference(G: Graph, P: Pattern, f: SetLabeling) -> bool:
-    """Interference of every member of the family: each one dominates H_f.
-
-    ALL_DOMINATING needs no family.  f misses a dominating D iff D lies in
-    V minus N_H[u] for some u, and dominating sets are closed upward, so iff
-    that set itself dominates G: iff no w has N_G[w] inside N_H[u], and any
-    such w lies in N_G[u].
-    """
-    if P.kind == Pattern.ALL_DOMINATING:
-        H = overlap_graph(G, f)
-        closed = [closed_neighborhood(G, v) for v in G.vertices()]
-        for u in G.vertices():
-            hu = closed_neighborhood(H, u)
-            if all(closed[w] & ~hu for w in iter_bits(closed[u])):
-                return False  # V minus N_H[u] is a dominating set that f misses
-        return True
-    family = expand_pattern(G, P)
+def pattern_violations(G: Graph, P: Pattern, f: SetLabeling) -> Iterator[Tuple[int, Violation]]:
+    """(D, Violation) for each target set D of P that f fails: a listed
+    family's failing members in family order.  The dominating pattern has no
+    family: f misses a dominating D iff D lies in V minus N_H[u] for some u,
+    and dominating sets are closed upward, so iff that set itself dominates
+    G: iff no w has N_G[w] inside N_H[u], and any such w lies in N_G[u].  So
+    it yields, for each such u in ascending order, D = V minus N_H[u], the
+    largest dominating set that f misses at u."""
     H = overlap_graph(G, f)
-    return all(is_dominating(H, D) for D in family)
+    if P.kind != Pattern.ALL_DOMINATING:
+        for D in expand_pattern(G, P):
+            bad = overlap_violation(G, H, D)
+            if bad is not None:
+                yield D, bad
+        return
+    closed = [closed_neighborhood(G, v) for v in G.vertices()]
+    for u in G.vertices():
+        hu = closed_neighborhood(H, u)
+        if all(closed[w] & ~hu for w in iter_bits(closed[u])):
+            D = G.full_mask & ~hu
+            yield D, Violation(u, G.adj[u] & D)
+
+
+def is_pattern_interference(G: Graph, P: Pattern, f: SetLabeling) -> bool:
+    """Interference of every member of the family: pattern_violations yields nothing."""
+    return next(pattern_violations(G, P, f), None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ C = D ∩ N(u) the dominating sets D leave each vertex u outside them.
 """
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, List, Tuple
 
 from .bitset import iter_bits, mask_of
@@ -69,21 +67,6 @@ def dominating_constraints(G: Graph) -> List[Tuple[int, int]]:
         rec(0, need, G.adj[u], 0)
         pairs.extend((u, C) for C in sorted(covers))
     return pairs
-
-
-def minimal_pairs(pairs) -> List[Tuple[int, int]]:
-    """The pairs (u, C) of a sorted list with no pair (u, C') for a strict
-    subset C' of C.  Sorting puts each vertex's pairs together, and a strict
-    subset is a smaller int, so it comes first; testing against the kept
-    pairs alone suffices, since a dropped subset has a kept subset of its own."""
-    kept: List[Tuple[int, int]] = []
-    for u, group in groupby(pairs, key=itemgetter(0)):
-        mins: List[int] = []
-        for _, C in group:
-            if all(c & C != c for c in mins):
-                mins.append(C)
-        kept.extend((u, c) for c in mins)
-    return kept
 
 
 def check_cap(name: str, n: int) -> None:

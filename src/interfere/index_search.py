@@ -63,13 +63,15 @@ listing its sets.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import List, NamedTuple, Optional, Tuple
 
 from .bitset import bit_list, iter_bits
 from .core import (
     Pattern, SetLabeling, build_complete_interference, expand_pattern, is_pattern_interference
 )
-from .domination import dominating_constraints, down_set, minimal_pairs
+from .domination import dominating_constraints, down_set
 from .errors import CapExceededError, NoDominatingSetError, SearchBudgetExceeded
 from .graphs import Graph
 
@@ -139,7 +141,22 @@ def _constraints_for(G: Graph, P: Pattern) -> List[Tuple[int, int]]:
                     f"target set {sorted(iter_bits(D))} does not dominate; index undefined"
                 )
             seen.add((u, cands))
-    return minimal_pairs(sorted(seen))
+    return _minimal_pairs(sorted(seen))
+
+
+def _minimal_pairs(pairs) -> List[Tuple[int, int]]:
+    """The pairs (u, C) of a sorted list with no pair (u, C') for a strict
+    subset C' of C.  Sorting puts each vertex's pairs together, and a strict
+    subset is a smaller int, so it comes first; testing against the kept
+    pairs alone suffices, since a dropped subset has a kept subset of its own."""
+    kept: List[Tuple[int, int]] = []
+    for u, group in groupby(pairs, key=itemgetter(0)):
+        mins: List[int] = []
+        for _, C in group:
+            if all(c & C != c for c in mins):
+                mins.append(C)
+        kept.extend((u, c) for c in mins)
+    return kept
 
 
 def _twin_classes(n: int, constraints) -> List[int]:

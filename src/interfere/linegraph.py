@@ -8,9 +8,9 @@ the per-set verdicts are the neighborhood criteria called on line_graph(G),
 e.g. neighborhood_interference_of(line_graph(G), D) or
 neighborhood_singleton(line_graph(G), e), and this module holds only the
 statements about G itself: the K2/sandwich description of injectivity, the
-necessary completeness clauses, the complemented labeling under its
-hypotheses (connected, order >= 5) with the size, independence and regular
-rules.
+three clauses that decide completeness on G with no line graph, and the
+complemented labeling under its hypotheses (connected, order >= 5) with the
+size, independence and regular rules.
 
 Edge sets are int bitmasks over canonical edge indices (Graph.edges order).
 """
@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Tuple
 
-from .bitset import bit_list
+from .bitset import bit_list, iter_bits
 from .errors import HypothesisViolation
 from .graphs import (
-    Graph, check_has_edge, components, diameter, is_connected, is_regular, line_graph
+    Graph, check_has_edge, closed_neighborhood, components, is_connected, is_regular, line_graph
 )
-from .neighborhood import complemented_interference_of, neighborhood_complete
+from .neighborhood import complemented_interference_of
 
 
 def edge_mask(G: Graph, pairs: Iterable[Tuple[int, int]]) -> int:
@@ -80,38 +80,41 @@ def line_injectivity_report(G: Graph) -> InjectivityReport:
 
 
 class LineCompleteReport(NamedTuple):
-    """Clause-by-clause trace for edge-labeling completeness.
-
-    The verdict is neighborhood_complete on L(G).  The recorded clauses are
-    statements about G, each necessary but not jointly sufficient (one
-    published clause of the criterion is garbled), so `undetermined` flags
-    graphs where all clauses hold yet the verdict is no.
-    """
+    """Edge-labeling completeness: the verdict is that every clause holds."""
 
     verdict: bool
     clauses: dict
-    undetermined: bool
 
 
 def line_complete_report(G: Graph) -> LineCompleteReport:
+    """Whether e -> N_{L(G)}(e) is a complete interference, decided on G.
+
+    The labels are nonempty, as a connected G of order >= 3 gives every
+    edge a neighbor, so they must pairwise meet and be distinct.  Adjacent
+    edges vx and vy share a neighboring edge iff deg v >= 3 or xy is an
+    edge: every vertex of degree 2 lies on a triangle.  Disjoint edges share
+    one iff an edge joins them: for each edge ab no edge lies inside V minus
+    (N[a] | N[b]), which is diameter(L(G)) <= 2.  Adjacent edges never have
+    equal labels: each label holds the other edge and not its own.  If
+    disjoint edges ab and cd did, an edge with one end in {a, b, c, d} would
+    neighbor one of them and not the other, so G, being connected, would
+    have order 4.  Order 3 has no two disjoint edges, and at order 4 the
+    failure is exactly the sandwich.
+    """
     if G.n < 3:
         raise HypothesisViolation("edge-labeling completeness needs order >= 3")
     if not is_connected(G):
         raise HypothesisViolation("edge-labeling completeness needs a connected graph")
-    L = line_graph(G)
-    not_sandwich = _component_kinds(G)[0][0] != "sandwich"
-    pendant_ok = True
-    for u, v in G.edges:
-        du, dv = G.degree(u), G.degree(v)
-        if min(du, dv) == 1 and max(du, dv) < 3:
-            pendant_ok = False
+    adj, closed = G.adj, [closed_neighborhood(G, v) for v in G.vertices()]
+    outside = [G.full_mask & ~(closed[a] | closed[b]) for a, b in G.edges]
     clauses = {
-        "no_sandwich": not_sandwich,
-        "line_diameter_le_2": diameter(L) <= 2,
-        "pendant_edges_thick": pendant_ok,
+        "no_sandwich": _component_kinds(G)[0][0] != "sandwich",
+        "line_diameter_le_2": not any(adj[w] & out for out in outside for w in iter_bits(out)),
+        "degree_two_on_triangle": all(
+            adj[x] >> y & 1 for x, y in (bit_list(row) for row in adj if row.bit_count() == 2)
+        ),
     }
-    verdict = neighborhood_complete(L)
-    return LineCompleteReport(verdict, clauses, all(clauses.values()) and not verdict)
+    return LineCompleteReport(all(clauses.values()), clauses)
 
 
 # ---------------------------------------------------------------------------

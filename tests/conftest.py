@@ -38,6 +38,14 @@ def package_env():
     return env
 
 
+def target_sets(G, P):
+    """The target sets of P on G, the dominating pattern's as its minimal
+    dominating sets, which expand_pattern does not list."""
+    if P.kind == interfere.Pattern.ALL_DOMINATING:
+        return interfere.minimal_dominating_sets(G)
+    return interfere.expand_pattern(G, P)
+
+
 def forced_rule_on_off(G, P, m, budget=10**8):
     """One kernel search at m with neighbor counting on, then off (the forced
     table emptied): [(witness or None, nodes) on, (witness or None, nodes) off].

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import interfere as itf
+from interfere.cli import SCHEMA
 
 from conftest import package_env, run_cli, run_cli_json
 
@@ -99,7 +100,26 @@ class TestCheck:
         )
         assert code == OK
         assert obj["labeling_valid"] and obj["verdict"]
-        assert obj["sets_checked"] == 3 and obj["violations"] == []
+        # the dominating pattern is decided per vertex: there is no family to count
+        assert obj["sets_checked"] is None and obj["violations"] == []
+
+    @pytest.mark.parametrize("spec", ["path:17", "cycle:20"])
+    def test_dominating_pattern_has_no_order_cap(self, spec, tmp_path):
+        argv = ["check", "--graph", spec, "--pattern", "all-dominating", "--labeling"]
+        code, obj = run_cli_json(argv + ["complete"])
+        assert code == OK and obj["verdict"] is True and obj["sets_checked"] is None
+        # disjoint labels leave the overlap graph edgeless: V minus {u} is a
+        # dominating set missed at u, one violation per vertex
+        G = itf.parse_family_spec(spec)
+        lab = tmp_path / "lab.json"
+        lab.write_text(json.dumps({"ground_set_size": G.n, "labels": [[v] for v in G.vertices()]}))
+        code, obj = run_cli_json(argv + [str(lab)])
+        assert code == OK and obj["verdict"] is False
+        assert obj["violations"] == [
+            {"set": [v for v in G.vertices() if v != u], "vertex": u,
+             "candidates": itf.bit_list(G.adj[u])}
+            for u in G.vertices()
+        ]
 
     def test_explicit_sets_and_violation_report(self, tmp_path):
         lab = tmp_path / "lab.json"
@@ -393,10 +413,13 @@ class TestLinegraph:
         assert code == OK
         assert obj["verdict"] is True
 
-    def test_complete_undetermined_flag(self):
+    def test_complete_pentagon_fails_triangle_clause(self):
         code, obj = run_cli_json(["linegraph", "--graph", "cycle:5", "--check", "complete"])
         assert code == OK
-        assert obj["verdict"] is False and obj["undetermined"] is True
+        assert obj["verdict"] is False and "undetermined" not in obj
+        assert obj["clauses"] == {
+            "no_sandwich": True, "line_diameter_le_2": True, "degree_two_on_triangle": False
+        }
 
     def test_rules(self):
         code, obj = run_cli_json(["linegraph", "--graph", "kpq:4,4", "--check", "rules"])
@@ -661,7 +684,7 @@ class TestHarness:
             assert code == OK
             parsed = json.loads(out)
             if isinstance(parsed, dict):
-                assert parsed["schema"] == "2"
+                assert parsed["schema"] == SCHEMA
 
     def test_output_is_deterministic_up_to_timing(self):
         a = strip_timing(run_cli_json(["nbd", "--graph", "wheel:5", "--complete"])[1])

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from interfere.cli import SCHEMA
+
 from conftest import run_cli
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -159,7 +161,7 @@ def test_main_never_escapes(files):
         assert out.endswith("\n") and out.count("\n") == 1, (argv, out)
         report = json.loads(out)
         assert isinstance(report, dict), (argv, out)
-        assert report["schema"] == "2"
+        assert report["schema"] == SCHEMA
         assert ("error" in report) == (code != 0), (argv, out)
 
     run()

@@ -10,6 +10,7 @@ import interfere as itf
 from interfere import (
     Pattern,
     SetLabeling,
+    Violation,
     bit_list,
     build_complete_interference,
     complete,
@@ -22,12 +23,16 @@ from interfere import (
     mask_of,
     overlap_graph,
     overlap_violation,
+    pattern_violations,
 )
+from interfere.cli import bipartition
 
 from oracles import (
     brute_is_complete,
+    brute_is_dominating,
     brute_is_interference,
     brute_is_valid,
+    brute_minimal_dominating_sets,
     gnp,
     labels_as_sets,
     neighbor_sets,
@@ -239,9 +244,13 @@ class TestPatterns:
             Pattern.cross_pairs(0, 0b110)
 
     def test_all_dominating_reduces_to_minimal(self):
+        # the dominating pattern is decided with no family; its reduced
+        # listing, the minimal dominating sets, is domination's to make
         G = itf.cycle(5)
-        reduced = set(expand_pattern(G, Pattern.all_dominating()))
-        assert reduced == set(itf.minimal_dominating_sets(G))
+        with pytest.raises(ValueError, match="minimal_dominating_sets"):
+            expand_pattern(G, Pattern.all_dominating())
+        reduced = set(itf.minimal_dominating_sets(G))
+        assert reduced == set(map(mask_of, brute_minimal_dominating_sets(G)))
         assert reduced < set(itf.all_dominating_sets(G))
 
     @pytest.mark.parametrize("n", range(2, 6))
@@ -299,6 +308,61 @@ class TestDominatingPatternIdentity:
         # disjoint labels leave H edgeless: every dominating set but V is missed
         disjoint = SetLabeling(17, tuple(1 << v for v in range(17)))
         assert not is_pattern_interference(G, Pattern.all_dominating(), disjoint)
+
+
+class TestPatternViolations:
+    """pattern_violations, the one decision path for a family: its dominating
+    certificates against every dominating set, and its listed pairs against
+    the per-set definition."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_dominating_pattern_against_every_dominating_set(self, n):
+        rng = random.Random(1700 + n)
+        flagged = 0
+        for G in itf.all_graphs(n):
+            nbrs = neighbor_sets(G)
+            doms = [set(D) for r in range(1, n + 1) for D in itertools.combinations(range(n), r)
+                    if brute_is_dominating(G, D)]
+            for lab in (random_labeling(n, 3, rng), random_labeling(n, 4, rng)):
+                sets = labels_as_sets(lab)
+
+                def served_by(u):  # N_H[u]: u and its neighbors whose labels meet u's
+                    return {u} | {v for v in nbrs[u] if sets[u] & sets[v]}
+
+                unserved = {u for D in doms for u in range(n) if not served_by(u) & D}
+                got = list(pattern_violations(G, Pattern.all_dominating(), lab))
+                assert [bad.vertex for _, bad in got] == sorted(unserved), itf.to_graph6(G)
+                for D, bad in got:
+                    u, members = bad.vertex, set(bit_list(D))
+                    # the largest dominating set that misses u: V minus N_H[u]
+                    assert members == set(range(n)) - served_by(u)
+                    assert brute_is_dominating(G, members)
+                    assert bit_list(bad.candidates_mask) == sorted(nbrs[u] & members)
+                flagged += len(got)
+        assert flagged or n == 1
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_listed_patterns_match_per_set_definition(self, n):
+        rng = random.Random(1800 + n)
+        for G in itf.all_graphs(n):
+            nbrs = neighbor_sets(G)
+            lab = random_labeling(n, 3, rng)
+            sets = labels_as_sets(lab)
+            patterns = [Pattern.singletons(),
+                        Pattern.explicit([rng.randrange(1, 1 << n) for _ in range(5)])]
+            try:
+                patterns.append(Pattern.cross_pairs(*bipartition(G)))
+            except ValueError:
+                pass  # an odd cycle, or one side empty
+            for P in patterns:
+                want = []
+                for D in expand_pattern(G, P):
+                    members = set(bit_list(D))
+                    left = [u for u in range(n) if u not in members
+                            and not any(sets[u] & sets[v] for v in nbrs[u] & members)]
+                    if left:
+                        want.append((D, Violation(left[0], mask_of(nbrs[left[0]] & members))))
+                assert list(pattern_violations(G, P, lab)) == want, (itf.to_graph6(G), P.kind)
 
 
 class TestCompleteness:

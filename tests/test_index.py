@@ -23,10 +23,9 @@ from interfere import (
 
 from interfere.bitset import bit_list, mask_of
 from interfere.cli import bipartition
-from interfere.core import expand_pattern
 from interfere.index_search import _constraints_for, _Kernel, _meeting_codes, _twin_classes
 
-from conftest import forced_rule_on_off
+from conftest import forced_rule_on_off, run_cli, target_sets
 from oracles import (
     brute_exists_interference,
     brute_is_interference,
@@ -262,7 +261,7 @@ class TestNeighborCounting:
         assert on == off, key
         assert nodes_on <= nodes_off, key
         if on is not None:
-            for D in expand_pattern(G, P):
+            for D in target_sets(G, P):
                 assert brute_is_interference(G, itf.bit_list(D), on), key
         return nodes_on < nodes_off
 
@@ -314,7 +313,7 @@ class TestImpliedConstraints:
     def test_every_connected_graph(self, n):
         for G in itf.connected_graphs(n):
             for P in patterns_of(G):
-                family = expand_pattern(G, P)
+                family = target_sets(G, P)
                 try:
                     constraints = _constraints_for(G, P)
                 except NoDominatingSetError:
@@ -441,7 +440,7 @@ class TestPropagation:
             kern_constraints = _constraints_for(G, P)
         except NoDominatingSetError:
             return None
-        kept, dropped = brute_minimal_constraints(G, expand_pattern(G, P))
+        kept, dropped = brute_minimal_constraints(G, target_sets(G, P))
         constraints = sorted((u, mask_of(C)) for u, C in kept | dropped)
         n = G.n
         m = index_lower_bound(n) + rng.randint(0, 1)
@@ -593,17 +592,19 @@ class TestIndexMachinery:
         assert exists_interference(itf.path(3), Pattern.explicit([0b001]), 2) is None
 
     def test_lists_no_dominating_set(self, monkeypatch):
-        # the constraints and the witness check both read N(u) directly
+        # the constraints, the witness check and `check` all read N(u)
+        # directly; every listing of dominating sets reads dominating_family
         calls = []
-        enumerate_minimal = itf.domination.minimal_dominating_sets
-        for module in (itf.core, itf.domination):
-            monkeypatch.setattr(
-                module, "minimal_dominating_sets",
-                lambda G: calls.append(G) or enumerate_minimal(G),
-            )
+        for name in ("minimal_dominating_sets", "dominating_family"):
+            listing = getattr(itf.domination, name)
+            monkeypatch.setattr(itf.domination, name,
+                                lambda G, listing=listing: calls.append(G) or listing(G))
         for G in (complete(5), gnp(10, 0.8, 5), gnp(14, 0.7, 2)):
             res = interference_index(G, Pattern.all_dominating())
             assert exists_interference(G, Pattern.all_dominating(), res.index) is not None
+            code, out = run_cli(["check", "--graph", "g6:" + itf.to_graph6(G),
+                                 "--labeling", "complete", "--pattern", "all-dominating"])
+            assert code == 0 and '"verdict": true' in out
         assert calls == []
 
     @pytest.mark.parametrize("m", range(1, 7))

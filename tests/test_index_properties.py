@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import interfere as itf
 from interfere import Pattern, SearchBudgetExceeded, exists_interference, index_lower_bound
 
-from conftest import forced_rule_on_off
+from conftest import forced_rule_on_off, target_sets
 from oracles import brute_is_interference
 
 
@@ -86,7 +86,7 @@ def test_twin_ordering_keeps_verdicts_and_witnesses(case):
     assert (on is None) == (off is None), itf.to_graph6(G)
     for witness in (on, off):
         if witness is not None:
-            for D in itf.expand_pattern(G, P):
+            for D in target_sets(G, P):
                 assert brute_is_interference(G, itf.bit_list(D), witness)
 
 
@@ -107,5 +107,5 @@ def test_neighbor_counting_keeps_verdicts_and_witnesses(case):
     assert on == off, itf.to_graph6(G)
     assert nodes_on <= nodes_off, itf.to_graph6(G)
     if on is not None:
-        for D in itf.expand_pattern(G, P):
+        for D in target_sets(G, P):
             assert brute_is_interference(G, itf.bit_list(D), on)

@@ -155,16 +155,19 @@ class TestCompleteness:
         assert not rep.clauses["no_sandwich"]
         rep = line_complete_report(path(5))
         assert not rep.clauses["line_diameter_le_2"]
+        assert not rep.clauses["degree_two_on_triangle"]
         rep = line_complete_report(itf.wheel(5))
-        assert rep.verdict and all(rep.clauses.values()) and not rep.undetermined
+        assert rep.verdict and all(rep.clauses.values())
+        assert rep._fields == ("verdict", "clauses")
 
-    def test_pentagon_is_the_undetermined_case(self):
+    def test_pentagon_fails_the_triangle_clause(self):
         rep = line_complete_report(cycle(5))
         assert rep.verdict is False
-        assert all(rep.clauses.values())
-        assert rep.undetermined
+        assert rep.clauses == {
+            "no_sandwich": True, "line_diameter_le_2": True, "degree_two_on_triangle": False
+        }
 
-    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("n", range(3, 8))
     def test_verdict_matches_independent_oracle(self, n):
         for G in itf.connected_graphs(n):
             L, rep = line_oracle_labeling(G)
@@ -177,13 +180,28 @@ class TestCompleteness:
             want = nx.diameter(nx.line_graph(nx.Graph(list(G.edges)))) <= 2
             assert line_complete_report(G).clauses["line_diameter_le_2"] == want, itf.to_graph6(G)
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_triangle_clause_matches_networkx(self, n):
+        for G in itf.connected_graphs(n):
+            H = nx.Graph(list(G.edges))
+            want = all(nx.triangles(H, v) for v in H if H.degree(v) == 2)
+            assert line_complete_report(G).clauses["degree_two_on_triangle"] == want, itf.to_graph6(G)
+
     def test_necessary_clauses_never_reject_a_true_verdict(self):
         for G in itf.connected_graphs_upto(6):
             if G.n < 3:
                 continue
-            rep = line_complete_report(G)
-            if rep.verdict:
-                assert all(rep.clauses.values())
+            L, rep = line_oracle_labeling(G)
+            if rep.valid and is_complete_interference(rep.labeling):
+                assert all(line_complete_report(G).clauses.values()), itf.to_graph6(G)
+
+    def test_builds_no_line_graph(self, monkeypatch):
+        def refuse(G):
+            raise AssertionError("line_graph called")
+        monkeypatch.setattr(itf.linegraph, "line_graph", refuse)
+        monkeypatch.setattr(itf.graphs, "line_graph", refuse)
+        for G in itf.connected_graphs(6):
+            line_complete_report(G)
 
     def test_hypotheses(self):
         with pytest.raises(HypothesisViolation):
