@@ -41,15 +41,29 @@ steps need the whole groups Aut(R) and Aut(G).  A candidate in which some
 vertex has a higher degree than x is rejected before any search, since no
 vertex of x's orbit then has maximum degree; most candidates end there.
 
-The rest are refined once, and the stable colors reject more of them before
-the descent (386 of the 1,639 left up to order 7).  The descent keeps the
-stable cells in color order, so c lies in the least-colored cell of maximum
-degree, and an orbit lies inside one stable cell; so x, of maximum degree, is
-in c's orbit only if its color is the least among the vertices of its degree.
-The few candidates that pass this check and still fail the orbit test are
-searched.  A kept candidate's rows are relabeled at once in the order of the
-first best leaf, which spells out its code; the build holds only the code and
-those rows of each kept graph until the catalog is sorted.
+The rest are refined once, and the refinement itself rejects more of them
+before the descent (386 of the 1,639 left up to order 7, 353 of those in the
+first round).  The descent keeps the stable cells in color order, so c lies
+in the least-colored cell of maximum degree, and an orbit lies inside one
+stable cell; so x, of maximum degree, is in c's orbit only if its color is the
+least among the vertices of its degree.  Refinement keeps the order of
+colors, so the first round that gives a vertex of x's degree a smaller color
+than x's decides this.  The few candidates that pass and still fail the orbit
+test are searched.  A kept candidate's rows are relabeled at once in the
+order of the first best leaf, which spells out its code; the build holds only
+the code and those rows of each kept graph until the catalog is sorted.
+
+Each level carries the groups its searches found, as the leaf and the maps in
+the candidate's labeling, so a parent's group is not searched for again; the
+maps are conjugated by the leaf only when the graph serves as a parent.  A
+trivial group is the empty value, and the top order MAX_CATALOG_N, which
+serves no higher level, keeps none.  The groups live in the cached level
+itself, so clearing the caches makes a build fully cold.
+
+A connected level is built on its own from the full level below: its graph's
+canonical parent may be disconnected.  Only neighbor sets that meet every
+component of the parent are augmented; automorphisms permute components, so
+an orbit meets all of them or none.
 
 Known totals used by the tests: 1, 2, 4, 11, 34, 156, 1044, 12346 graphs and
 1, 1, 2, 6, 21, 112, 853, 11117 connected graphs on 1..8 vertices.
@@ -61,7 +75,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .bitset import mask_of
 from .errors import CapExceededError
-from .graphs import Graph, is_connected
+from .graphs import Graph, components, is_connected
 
 MAX_CATALOG_N = 8
 
@@ -69,7 +83,10 @@ MAX_CATALOG_N = 8
 Perm = Tuple[int, ...]
 
 
-def _refine_colors(n: int, adj: Sequence[int]) -> List[int]:
+def _refine_colors(n: int, adj: Sequence[int], x: int = -1) -> Optional[List[int]]:
+    """The stable colors of the graph with rows ``adj``, ranked by degree
+    first.  When ``x`` is a vertex of maximum degree, None as soon as some
+    vertex of x's degree has a smaller color than x."""
     colors = [a.bit_count() for a in adj]
     ranks = {c: i for i, c in enumerate(sorted(set(colors)))}
     colors = [ranks[c] for c in colors]
@@ -93,9 +110,17 @@ def _refine_colors(n: int, adj: Sequence[int]) -> List[int]:
             else:
                 key <<= shift
             keys.append(key)
-        ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
-        if len(ranks) == len(cells):
+        distinct = set(keys)
+        if len(distinct) == len(cells):
             return colors
+        order = sorted(distinct)
+        ranks = {k: i for i, k in enumerate(order)}
+        if x >= 0:
+            # x is still the least of its degree, so only its own cell can
+            # put a key of x's degree below x's, and then directly below
+            r = ranks[keys[x]]
+            if r and order[r - 1] >> shift == colors[x]:
+                return None
         colors = [ranks[k] for k in keys]
 
 
@@ -257,35 +282,59 @@ def _check_cap(n: int) -> None:
         raise CapExceededError(f"graph catalog capped at n <= {MAX_CATALOG_N}")
 
 
-@lru_cache(maxsize=None)
-def all_graphs(n: int) -> Tuple[Graph, ...]:
-    """All graphs on exactly n vertices, one per isomorphism class."""
+def _check_order(n: int) -> None:
     if n < 1:
         raise ValueError("catalog needs n >= 1")
     _check_cap(n)
-    if n == 1:
-        return (Graph(1),)
-    kept: List[Tuple[int, Tuple[int, ...]]] = []  # (code, rows relabeled by the leaf)
+
+
+class _Level(tuple):
+    """The graphs of one catalog level.  ``groups[i]`` is ``(leaf, found)``
+    from the search that kept the i-th graph, or () when its group is
+    trivial; ``groups`` is None on a level that is no parent."""
+
+    groups: Optional[Tuple[tuple, ...]]
+
+    def automorphisms(self, i: int) -> List[Perm]:
+        """Generators of the i-th graph's automorphism group, conjugated by
+        its leaf into the graph's own labeling."""
+        if not self.groups[i]:
+            return []
+        leaf, found = self.groups[i]
+        position = [0] * len(leaf)
+        for j, v in enumerate(leaf):
+            position[v] = j
+        return [tuple(position[p[v]] for v in leaf) for p in found]
+
+
+def _level(n: int, connected: bool) -> _Level:
+    """The graphs on n >= 2 vertices, or only the connected ones, augmented
+    from the (n-1)-vertex catalog.  Groups are kept on a full level below
+    MAX_CATALOG_N, the only levels built on."""
+    keep = not connected and n < MAX_CATALOG_N
+    kept = []  # (code, rows relabeled by the leaf, group)
     x = n - 1  # the new vertex
-    for R in all_graphs(x):
-        autos: List[Perm] = []
-        _search(x, R.adj, autos)
+    parents = all_graphs(x)
+    for i, R in enumerate(parents):
+        # automorphisms permute components, so either every mask of an orbit
+        # meets them all or none does
+        parts = components(R) if connected else ()
         most = max(a.bit_count() for a in R.adj)
         peaks = mask_of(v for v, a in enumerate(R.adj) if a.bit_count() == most)
-        for mask in _orbit_starts(x, autos):
+        for mask in _orbit_starts(x, parents.automorphisms(i)):
             # x has the largest degree unless R has a vertex of higher degree,
             # or x joins a vertex of its own degree, which then gains one
             top = mask.bit_count()  # the degree of x
             if top < most or top == most and mask & peaks:
                 continue
+            if any(not mask & C for C in parts):
+                continue
             rows = [a | 1 << x if mask >> v & 1 else a for v, a in enumerate(R.adj)]
             rows.append(mask)
-            colors = _refine_colors(n, rows)
             # c lies in the least stable cell of degree top and x's orbit in
-            # x's cell; colors rank degree first, so that cell is x's unless
-            # the color just below x's is also of degree top
-            cx = colors[x]
-            if cx and rows[colors.index(cx - 1)].bit_count() == top:
+            # x's cell, so x must stay the least-colored vertex of its degree
+            colors = _refine_colors(n, rows, x)
+            if colors is None:
                 continue
             found: List[Perm] = []
             code, leaf = _search(n, rows, found, colors)
@@ -295,8 +344,8 @@ def all_graphs(n: int) -> Tuple[Graph, ...]:
             # relabeled by the leaf, the rows spell out the code; the bit loop is
             # inline because mask_of over iter_bits makes the order-7 build ~7% slower
             bit = [0] * n  # bit[v]: the bit of v's position in the leaf
-            for i, v in enumerate(leaf):
-                bit[v] = 1 << i
+            for j, v in enumerate(leaf):
+                bit[v] = 1 << j
             relabeled = []
             for v in leaf:
                 a = rows[v]
@@ -306,15 +355,30 @@ def all_graphs(n: int) -> Tuple[Graph, ...]:
                     a ^= low
                     row |= bit[low.bit_length() - 1]
                 relabeled.append(row)
-            kept.append((code, tuple(relabeled)))
+            group = (tuple(leaf), tuple(found)) if keep and found else ()
+            kept.append((code, tuple(relabeled), group))
     kept.sort(key=lambda k: (k[0].bit_count(), k[0]))
-    return tuple(Graph.from_rows(rows) for _, rows in kept)
+    level = _Level(Graph.from_rows(rows) for _, rows, _ in kept)
+    level.groups = tuple(group for _, _, group in kept) if keep else None
+    return level
+
+
+@lru_cache(maxsize=None)
+def all_graphs(n: int) -> Tuple[Graph, ...]:
+    """All graphs on exactly n vertices, one per isomorphism class."""
+    _check_order(n)
+    if n > 1:
+        return _level(n, connected=False)
+    level = _Level((Graph(1),))
+    level.groups = ((),)
+    return level
 
 
 @lru_cache(maxsize=None)
 def connected_graphs(n: int) -> Tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, one per isomorphism class."""
-    return tuple(G for G in all_graphs(n) if is_connected(G))
+    _check_order(n)
+    return _level(n, connected=True) if n > 1 else all_graphs(1)
 
 
 def graphs_upto(n: int) -> List[Graph]:
@@ -323,5 +387,10 @@ def graphs_upto(n: int) -> List[Graph]:
 
 
 def connected_graphs_upto(n: int) -> List[Graph]:
+    """The connected graphs on 1..n vertices: the orders below n are filtered
+    from the full levels that build order n."""
     _check_cap(n)
-    return [G for k in range(1, n + 1) for G in connected_graphs(k)]
+    if n < 1:
+        return []
+    lower = [G for k in range(1, n) for G in all_graphs(k) if is_connected(G)]
+    return lower + list(connected_graphs(n))

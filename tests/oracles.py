@@ -17,7 +17,7 @@ brute_certificate walks every vertex ordering its refinement allows, which
 the package's certificate search reaches row by row; that refinement,
 reference_refine_colors, compares sorted neighbor-color tuples where the
 package counts neighbors per color cell.  brute_automorphism_count tries
-every vertex permutation, where the package generates the group from the
+every vertex permutation, prefix by prefix, where the package generates the group from the
 automorphisms its search meets.  brute_twin_classes tries every vertex
 transposition, where the package screens them by profile.  scan_index asks the
 package's exists_interference at every m between the index bounds, where
@@ -179,12 +179,25 @@ def brute_certificate(G: Graph):
 
 
 def brute_automorphism_count(G: Graph) -> int:
-    """|Aut(G)|: the vertex permutations that map the edge set onto itself."""
-    edges = {frozenset(e) for e in G.edges}
-    return sum(
-        all(frozenset((p[u], p[v])) in edges for u, v in G.edges)
-        for p in itertools.permutations(range(G.n))
-    )
+    """|Aut(G)|: the vertex permutations that map the edge set onto itself.
+
+    Every permutation is built one vertex at a time, 0 -> p[0], 1 -> p[1],
+    ...; a prefix that already maps an edge to a non-edge, or a non-edge to
+    an edge, among the vertices mapped so far is not extended.
+    """
+    nbrs = neighbor_sets(G)
+
+    def count(p):
+        u = len(p)
+        if u == G.n:
+            return 1
+        return sum(
+            count(p + [w])
+            for w in range(G.n)
+            if w not in p and all((v in nbrs[u]) == (p[v] in nbrs[w]) for v in range(u))
+        )
+
+    return count([])
 
 
 def brute_catalogs(max_n: int):

@@ -74,17 +74,42 @@ class TestCounts:
     def test_upto_cap_raises_before_any_search(self, monkeypatch):
         # the orders below the cap are not built first
         calls = cold_catalog_with_search_count(monkeypatch)
-        for build in (catalog.graphs_upto, catalog.connected_graphs_upto):
+        for build in (catalog.graphs_upto, catalog.connected_graphs_upto, catalog.connected_graphs):
             with pytest.raises(itf.CapExceededError):
                 build(9)
         assert calls == [0]
 
     def test_cold_build_search_count(self, monkeypatch):
-        # 208 parents (orders 1-6) plus the 1,253 candidates that pass the
-        # degree pre-filter and the color check: 386 fewer than without it
+        # the candidates that pass the degree pre-filter and the color check
+        # (386 fewer than without it); each parent's group comes from the
+        # search that kept it, so no parent is searched again
         calls = cold_catalog_with_search_count(monkeypatch)
         assert len(catalog.all_graphs(7)) == ALL_COUNTS[7]
-        assert calls == [1461]
+        assert calls == [1253]
+
+    def test_cold_connected_build_search_count(self, monkeypatch):
+        # order 7 augments only the orbit starts that meet every component
+        calls = cold_catalog_with_search_count(monkeypatch)
+        assert len(catalog.connected_graphs(7)) == CONNECTED_COUNTS[7]
+        assert calls == [1061]
+
+    @pytest.mark.parametrize("connected_first", [True, False], ids=["connected-first", "all-first"])
+    def test_connected_level_is_the_filtered_full_level(self, monkeypatch, connected_first):
+        cold_catalog_with_search_count(monkeypatch)
+        for n in range(1, 8):
+            if connected_first:
+                connected = catalog.connected_graphs(n)
+            full = catalog.all_graphs(n)
+            if not connected_first:
+                connected = catalog.connected_graphs(n)
+            assert connected == tuple(G for G in full if itf.is_connected(G))
+
+    def test_top_order_keeps_no_groups(self):
+        assert catalog.all_graphs(catalog.MAX_CATALOG_N).groups is None
+        assert catalog.connected_graphs(7).groups is None
+        level = catalog.all_graphs(7)
+        trivial = [g for g in level.groups if not g]
+        assert trivial and all(g is trivial[0] for g in trivial)
 
 
 def cold_catalog_with_search_count(monkeypatch):
@@ -102,6 +127,20 @@ def cold_catalog_with_search_count(monkeypatch):
         build = getattr(catalog, name).__wrapped__
         monkeypatch.setattr(catalog, name, lru_cache(maxsize=None)(build))
     return calls
+
+
+def group_order(n, autos):
+    """The order of the permutation group on range(n) that autos generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for p in autos:
+            h = tuple(p[v] for v in g)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return len(group)
 
 
 def relabeled(G, perm):
@@ -217,16 +256,19 @@ class TestCertificate:
             for H in (G, relabeled(G, perm)):
                 autos = []
                 catalog._search(H.n, H.adj, autos)
-                group = {tuple(range(H.n))}
-                frontier = list(group)
-                while frontier:
-                    g = frontier.pop()
-                    for p in autos:
-                        h = tuple(p[v] for v in g)
-                        if h not in group:
-                            group.add(h)
-                            frontier.append(h)
-                assert len(group) == want, H.edges
+                assert group_order(H.n, autos) == want, H.edges
+
+    def test_carried_groups_are_the_searched_groups(self):
+        # a parent's orbit starts come from the generators the search that
+        # kept it found, conjugated by its leaf into the parent's labeling
+        for n in range(1, 8):
+            level = itf.all_graphs(n)
+            for i, G in enumerate(level):
+                carried = level.automorphisms(i)
+                assert group_order(n, carried) == brute_automorphism_count(G), G.edges
+                autos = []
+                catalog._search(n, G.adj, autos)
+                assert catalog._orbit_starts(n, carried) == catalog._orbit_starts(n, autos)
 
     def test_leaf_ordering_spells_out_the_code(self):
         # a kept candidate becomes a Graph by relabeling its rows in the
@@ -275,6 +317,28 @@ class TestCertificate:
                     c = next(v for v in leaf if rows[v].bit_count() == top)
                     assert not catalog._in_orbit(x, c, found), (R.edges, mask)
         assert rejected == 386
+
+    def test_early_exit_refinement_matches_the_stable_color_check(self):
+        # every augmentation mask up to order 7, not only the orbit starts:
+        # x has the largest degree in the 3,131 the pre-filter passes, and
+        # refinement keeps the order of colors, so a round that puts a vertex
+        # of x's degree below x already decides the stable check
+        rejected = 0
+        for x in range(1, 7):
+            n = x + 1
+            for R in itf.all_graphs(x):
+                for mask in range(1 << x):
+                    rows = [a | 1 << x if mask >> v & 1 else a for v, a in enumerate(R.adj)]
+                    rows.append(mask)
+                    top = mask.bit_count()
+                    if max(a.bit_count() for a in rows) > top:
+                        continue
+                    colors = catalog._refine_colors(n, rows)
+                    least = colors[x] == min(colors[v] for v in range(n) if rows[v].bit_count() == top)
+                    early = catalog._refine_colors(n, rows, x)
+                    assert early == (colors if least else None), (R.edges, mask)
+                    rejected += not least
+        assert rejected == 817
 
     def test_separates_same_degree_sequence(self):
         # C6 and two triangles share the degree sequence but not the certificate

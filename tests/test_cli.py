@@ -44,6 +44,12 @@ class TestGen:
         assert len(words) == 6
         assert all(itf.from_graph6(w).n == 4 for w in words)
 
+    def test_connected_catalog_below_order_one_fails_as_the_full_one(self):
+        # the connected level is built on its own, with the same order check
+        assert run_cli(["gen", "--catalog", "0", "--connected"]) == run_cli(["gen", "--catalog", "0"])
+        code, obj = run_cli_json(["gen", "--catalog", "0", "--connected"])
+        assert code == USAGE and obj["error"]["kind"] == "usage"
+
     def test_catalog_rejects_edge_format(self):
         code, out = run_cli(["gen", "--catalog", "3", "--format", "edges"])
         assert code == USAGE
