@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .bitset import check_set, iter_bits, mask_of
 from .core import SetLabeling, is_interference, is_valid_labeling
+from .errors import HypothesisViolation
 from .families import complete
 from .graphs import INFINITY, Graph, bfs_layers, diameter
 
@@ -22,7 +23,7 @@ def distance_pattern(G: Graph, M: int) -> SetLabeling:
     check_set(M, G.n, "marker set")
     diam = diameter(G)
     if diam == INFINITY:
-        raise ValueError("distance patterns need a connected graph")
+        raise HypothesisViolation("distance patterns need a connected graph")
     patterns = [0] * G.n
     for v in iter_bits(M):
         for d, layer in enumerate(bfs_layers(G, v)):

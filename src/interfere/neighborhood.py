@@ -28,6 +28,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from .bitset import check_set, check_vertex, iter_bits
 from .core import SetLabeling
 from .domination import down_set, is_dominating
+from .errors import HypothesisViolation
 from .graphs import (
     Graph,
     closed_neighborhood,
@@ -153,7 +154,7 @@ def neighborhood_all_but_one(G: Graph, v: int) -> bool:
     i.e. row v of T(G) is nonempty."""
     check_vertex(v, G.n)
     if not is_connected(G):
-        raise ValueError("all-but-one criterion needs a connected graph")
+        raise HypothesisViolation("all-but-one criterion needs a connected graph")
     if G.n < 2:
         raise ValueError("all-but-one target set is empty for n=1")
     return _open_valid(G) and _two_path_row(G, v) != 0

@@ -10,6 +10,7 @@ import pytest
 
 import interfere as itf
 from interfere.cli import SCHEMA
+from interfere.index_search import DEFAULT_BUDGET
 
 from conftest import package_env, run_cli, run_cli_json
 
@@ -262,14 +263,12 @@ class TestIndex:
         assert code == BUDGET
         assert obj["error"]["message"] == "node budget 5 exhausted at m=4"
 
-    def test_negative_budget_is_usage(self, monkeypatch):
+    def test_negative_budget_is_usage(self):
         # complete:4 needs no search, so no budget can run out there
         argv = ["index", "--graph", "complete:4"]
         code, obj = run_cli_json(argv + ["--budget", "-5"])
-        assert code == USAGE and obj["error"]["kind"] == "usage"
-        monkeypatch.setenv("INTERFERE_BUDGET", "-5")
-        code, obj = run_cli_json(argv)
-        assert code == USAGE and obj["error"]["kind"] == "usage"
+        assert code == USAGE
+        assert obj["error"] == {"kind": "usage", "message": "node budget must be >= 0, got -5"}
         code, obj = run_cli_json(argv + ["--budget", "0"])
         assert code == OK and obj["index"] == 3 and obj["nodes_explored"] == 0
 
@@ -293,17 +292,11 @@ class TestIndex:
         assert obj["index"] == 8 and obj["nodes_explored"] == 201
 
     def test_budget_env(self, monkeypatch):
+        # the budget comes from --budget alone: INTERFERE_BUDGET is not read
         monkeypatch.setenv("INTERFERE_BUDGET", "2")
-        code, out = run_cli(["index", "--graph", "complete:9", "--pattern", "all-dominating"])
-        assert code == BUDGET
-
-    def test_budget_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("INTERFERE_BUDGET", "2")
-        code, obj = run_cli_json(
-            ["index", "--graph", "complete:9", "--pattern", "all-dominating",
-             "--budget", "100000"]
-        )
+        code, obj = run_cli_json(["index", "--graph", "complete:9", "--pattern", "all-dominating"])
         assert code == OK and obj["index"] == 5
+        assert obj["budget"] == DEFAULT_BUDGET
 
 
 class TestBrm:
@@ -371,8 +364,10 @@ class TestNbd:
         assert obj["trace"] == {"injective": True, "has_empty_label": False, "reason": None}
 
     def test_allbut_disconnected_is_usage(self):
-        code, _ = run_cli(["nbd", "--graph", "matching:2", "--allbut", "0"])
+        code, obj = run_cli_json(["nbd", "--graph", "matching:2", "--allbut", "0"])
         assert code == USAGE
+        assert obj["error"] == {"kind": "hypothesis",
+                                "message": "all-but-one criterion needs a connected graph"}
 
     # on C5 the open labeling serves {0, 1} but not {0, 2}: vertex 1's label
     # {0, 2} misses {1, 4} and {1, 3}; on P4 {0, 2} dominates and {0} does not
@@ -464,8 +459,10 @@ class TestDpd:
         assert obj["dpd"] is False and obj["interference"] is False
 
     def test_disconnected_is_usage(self):
-        code, _ = run_cli(["dpd", "--graph", "matching:2", "--set", "0"])
+        code, obj = run_cli_json(["dpd", "--graph", "matching:2", "--set", "0"])
         assert code == USAGE
+        assert obj["error"] == {"kind": "hypothesis",
+                                "message": "distance patterns need a connected graph"}
 
 
 def _drop_first_edge(two_path_graph):
@@ -483,13 +480,6 @@ def _negate_injective(real):
     def wrong(G):
         rep = real(G)
         return rep._replace(injective=not rep.injective)
-    return wrong
-
-
-def _one_too_many(real):
-    def wrong(*args, **kwargs):
-        res = real(*args, **kwargs)
-        return res._replace(index=res.index + 1)
     return wrong
 
 
@@ -515,7 +505,6 @@ WRONG_CRITERIA = {
     "neighborhood_complete": ("nbd-oracle", _negate),
     "complemented_complete": ("nbd-oracle", _negate),
     "line_injectivity_report": ("lg-injectivity", _negate_injective),
-    "interference_index": ("index-kn", _one_too_many),
 }
 
 
@@ -531,8 +520,11 @@ class TestSweep:
         assert code == OK and obj["ok"] is True
 
     def test_index_kn(self):
+        # the K_n doubling law is tested in test_index.py; the suite is gone
         code, obj = run_cli_json(["sweep", "--suite", "index-kn", "--max-n", "5"])
-        assert code == OK and obj["ok"] is True
+        assert code == USAGE
+        assert obj["error"]["kind"] == "usage"
+        assert "invalid choice: 'index-kn'" in obj["error"]["message"]
 
     def test_graphs_file(self, tmp_path):
         p = tmp_path / "graphs.g6"
@@ -554,24 +546,33 @@ class TestSweep:
         assert obj["error"] == {"kind": "budget",
                                 "message": "nbd-oracle sweep: n=17 exceeds cap 16"}
 
-    # below its smallest order a suite would check nothing; nbd-oracle starts
-    # at order 1, lg-injectivity and index-kn at order 2; a graph file would
-    # go unread by index-kn (ids name the suite unless it is nbd-oracle)
+    # a sweep that made no check would report "ok" vacuously: nbd-oracle
+    # checks every graph, lg-injectivity every graph with an edge, so the
+    # catalog below order 1 (below order 2 for lg-injectivity) and a file of
+    # edgeless graphs check nothing (ids name the suite unless it is nbd-oracle)
     @pytest.mark.parametrize("suite, flag, value, message", [
         pytest.param(*case, id="-".join(case[1:] if case[0] == "nbd-oracle" else case))
         for case in [
             ("nbd-oracle", "--samples", "-3", "--samples must be >= 0, got -3"),
-            ("nbd-oracle", "--max-n", "0", "--max-n must be >= 1, got 0"),
-            ("nbd-oracle", "--max-n", "-1", "--max-n must be >= 1, got -1"),
-            ("lg-injectivity", "--max-n", "1", "--max-n must be >= 2, got 1"),
-            ("lg-injectivity", "--max-n", "0", "--max-n must be >= 2, got 0"),
-            ("index-kn", "--max-n", "1", "--max-n must be >= 2, got 1"),
-            ("index-kn", "--max-n", "-1", "--max-n must be >= 2, got -1"),
-            ("index-kn", "--graphs-file", "graphs.g6",
-             "--graphs-file does not apply to --suite index-kn"),
+            ("nbd-oracle", "--max-n", "0",
+             "--suite nbd-oracle made no check on the catalog to order 0"),
+            ("nbd-oracle", "--max-n", "-1",
+             "--suite nbd-oracle made no check on the catalog to order -1"),
+            ("lg-injectivity", "--max-n", "1",
+             "--suite lg-injectivity made no check on the catalog to order 1"),
+            ("lg-injectivity", "--max-n", "0",
+             "--suite lg-injectivity made no check on the catalog to order 0"),
+            ("nbd-oracle", "--graphs-file", "empty.g6",
+             "--suite nbd-oracle made no check on empty.g6"),
+            ("lg-injectivity", "--graphs-file", "edgeless.g6",
+             "--suite lg-injectivity made no check on edgeless.g6"),
         ]
     ])
-    def test_vacuous_sweep_is_a_usage_error(self, suite, flag, value, message):
+    def test_vacuous_sweep_is_a_usage_error(self, tmp_path, monkeypatch, suite, flag, value,
+                                            message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.g6").write_text("")
+        (tmp_path / "edgeless.g6").write_text("A?\n@\nC?\n")  # orders 2, 1 and 4
         code, obj = run_cli_json(["sweep", "--suite", suite, flag, value])
         assert code == USAGE
         assert obj["error"] == {"kind": "usage", "message": message}
@@ -696,8 +697,11 @@ class TestHarness:
         a = strip_timing(run_cli_json(["nbd", "--graph", "wheel:5", "--complete"])[1])
         b = strip_timing(run_cli_json(["nbd", "--graph", "wheel:5", "--complete"])[1])
         assert a == b
-        s = json.dumps(strip_timing(json.loads(run_cli(["sweep", "--suite", "index-kn", "--max-n", "4"])[1])), sort_keys=True)
-        t = json.dumps(strip_timing(json.loads(run_cli(["sweep", "--suite", "index-kn", "--max-n", "4"])[1])), sort_keys=True)
+        argv = ["sweep", "--suite", "lg-injectivity", "--max-n", "4"]
+        code, out = run_cli(argv)
+        assert code == OK and json.loads(out)["check_count"] > 0
+        s = json.dumps(strip_timing(json.loads(out)), sort_keys=True)
+        t = json.dumps(strip_timing(run_cli_json(argv)[1]), sort_keys=True)
         assert s == t
 
     def test_usage_error_shape(self):

@@ -63,7 +63,7 @@ class TestDistancePattern:
             distance_pattern(path(4), 1 << 4)
 
     def test_rejects_disconnected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(itf.HypothesisViolation):
             distance_pattern(Graph(4, [(0, 1), (2, 3)]), 1)
 
 
