@@ -135,21 +135,16 @@ def _rows_code(adj: Sequence[int], order: Sequence[int], code: int) -> int:
 
 
 def _search(
-    n: int,
-    adj: Sequence[int],
-    autos: Optional[List[Perm]] = None,
-    colors: Optional[Sequence[int]] = None,
+    n: int, adj: Sequence[int], autos: List[Perm], colors: Sequence[int]
 ) -> Tuple[int, List[int]]:
     """The minimal adjacency code of the graph with rows ``adj`` over the
     orderings the refinement allows, and the first ordering found with it
     (vertex at each position).
 
-    When ``autos`` is a list, the automorphisms met on the way (skipped
-    twins, leaves tied for the best code) are appended to it.  ``colors``,
-    when given, is ``_refine_colors(n, adj)``, already computed.
+    The automorphisms met on the way (skipped twins, leaves tied for the
+    best code) are appended to ``autos``.  ``colors`` is
+    ``_refine_colors(n, adj)``, already computed.
     """
-    if colors is None:
-        colors = _refine_colors(n, adj)
     cells = [0] * (max(colors) + 1)
     for v, c in enumerate(colors):
         cells[c] |= 1 << v
@@ -187,10 +182,9 @@ def _search(
             a = adj[v]
             for u in tried:
                 if adj[u] & ~bv == a & ~(1 << u):
-                    if autos is not None:
-                        p = list(range(n))
-                        p[u], p[v] = v, u
-                        autos.append(tuple(p))
+                    p = list(range(n))
+                    p[u], p[v] = v, u
+                    autos.append(tuple(p))
                     break
             else:
                 tried.append(v)
@@ -219,19 +213,18 @@ def _search(
             order.pop()
 
     descend(cells, 0, 0)
-    if autos is not None:
-        first = leaves[0]
-        for other in leaves[1:]:
-            p = [0] * n
-            for a, b in zip(first, other):
-                p[a] = b
-            autos.append(tuple(p))
+    first = leaves[0]
+    for other in leaves[1:]:
+        p = [0] * n
+        for a, b in zip(first, other):
+            p[a] = b
+        autos.append(tuple(p))
     return best[n], leaves[0]
 
 
 def certificate(G: Graph) -> Tuple[int, int]:
     """Exact isomorphism certificate: (n, minimal adjacency code)."""
-    return (G.n, _search(G.n, G.adj)[0])
+    return (G.n, _search(G.n, G.adj, [], _refine_colors(G.n, G.adj))[0])
 
 
 def _orbit_starts(k: int, autos: List[Perm]) -> List[int]:

@@ -500,7 +500,7 @@ def cmd_sweep(args) -> dict:
     return {
         "command": "sweep",
         "suite": args.suite,
-        "max_n": args.max_n,
+        "max_n": None if args.graphs_file else args.max_n,  # a file ignores --max-n
         "seed": args.seed,
         "samples": args.samples,
         "graph_count": graph_count,

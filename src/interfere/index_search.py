@@ -9,17 +9,16 @@ set) and prunes with:
   Vs keeps only codes meeting the union of elements still available in Vs
   (a code intersects some member of a union iff it intersects the union);
   each vertex's element union is read once per fixpoint round from one
-  code mask per ground element (a committed code is its own union), and
-  refreshed when its domain shrinks;
-* a dual rule: when only one candidate vertex can still support u, that
-  vertex keeps only codes meeting u's remaining elements;
-* one-candidate pairs (u, {v}) skip those two rules as the edges of the
+  code mask per ground element (a committed code is its own union); every
+  rule only narrows domains and every failure test stays true as they
+  shrink, so the rounds reach the same fixpoint as fresh unions would;
+* one-candidate pairs (u, {v}) skip that rule as the edges of the
   forced graph F (f(u) and f(v) must meet): each vertex keeps the codes meeting
-  each F-neighbor's element union, both rules of each edge in both directions
+  each F-neighbor's element union, each edge in both directions
   (arc consistency; Mackworth, Artif. Intell. 8, 1977);
 * implied constraints are not propagated: (u, Vs) is dropped when u has a
-  constraint on a strict subset of Vs, whose fixpoint already meets both
-  rules of (u, Vs), so the monotone rules reach the same fixpoint.  The
+  constraint on a strict subset of Vs, whose fixpoint already meets the
+  support rule of (u, Vs), so the monotone rules reach the same fixpoint.  The
   dominating pattern reads each vertex's minimal sets off N(u)
   (domination.dominating_constraints) and lists no dominating set; the
   other patterns list their sets and drop the implied pairs;
@@ -100,9 +99,6 @@ class PhaseOutcome(NamedTuple):
     found: bool
     nodes: int
 
-    def as_dict(self) -> dict:
-        return {"m": self.m, "found": self.found, "nodes": self.nodes}
-
 
 class IndexResult(NamedTuple):
     index: int
@@ -117,7 +113,7 @@ class IndexResult(NamedTuple):
             "witness": self.witness.to_json_dict(),
             "lower_bound_used": self.lower_bound_used,
             "nodes_explored": self.nodes_explored,
-            "trace": [p.as_dict() for p in self.trace],
+            "trace": [p._asdict() for p in self.trace],
         }
 
 
@@ -285,6 +281,8 @@ class _Kernel:
                 union_all |= d
             if union_all.bit_count() < n:
                 return False
+            # element unions, read once per round: a rule that narrows a
+            # domain sets changed, and the next round reads it afresh
             eu = [union(d) for d in dom]
             # F's edges, listed at both ends: u meets each F-neighbor's elements
             for u, ws in self.edges:
@@ -295,7 +293,6 @@ class _Kernel:
                     if nd == 0:
                         return False
                     dom[u] = nd
-                    eu[u] = union(nd)
                     changed = True
             for u, vs in self.constraints:
                 big = 0
@@ -306,22 +303,8 @@ class _Kernel:
                 if nd == 0:
                     return False
                 if nd != du:
-                    dom[u] = du = nd
-                    eu[u] = union(nd)
+                    dom[u] = nd
                     changed = True
-                # dual rule: a sole supporter must meet u's remaining elements
-                sole = -1
-                for v in vs:
-                    if du & sup[eu[v]]:
-                        if sole >= 0:
-                            break
-                        sole = v
-                else:
-                    nv = dom[sole] & sup[eu[u]]  # never empty: sole meets a code of u
-                    if nv != dom[sole]:
-                        dom[sole] = nv
-                        eu[sole] = union(nv)
-                        changed = True
             # neighbor counting: u's F-neighbors need distinct codes that
             # meet u's code c and differ from it
             for u, ws in self.forced:

@@ -364,11 +364,15 @@ def reference_propagate(n, constraints, m, dom):
     # sup[x] = codes meeting element mask x
     sup = [sum(1 << c for c in codes if c & x) for x in range(1 << m)]
     forced = [set() for _ in range(n)]
+    reverse = []
     for u, cands in constraints:
         vs = bit_list(cands)
         if len(vs) == 1:
             forced[u].add(vs[0])
             forced[vs[0]].add(u)
+            reverse.append((vs[0], 1 << u))
+    # f(u) and f(v) must meet both ways: (v, {u}) holds whenever (u, {v}) does
+    constraints = list(constraints) + reverse
 
     def elem_union(d):
         out = 0
@@ -395,31 +399,15 @@ def reference_propagate(n, constraints, m, dom):
         if bin(union_all).count("1") < n:
             return False
         for u, cands in constraints:
-            vs = bit_list(cands)
-            unions = [elem_union(dom[v]) for v in vs]
             big = 0
-            for e in unions:
-                big |= e
+            for v in bit_list(cands):
+                big |= elem_union(dom[v])
             nd = dom[u] & sup[big]
             if nd == 0:
                 return False
             if nd != dom[u]:
                 dom[u] = nd
                 changed = True
-            # dual rule: when no other candidate can still support u, the
-            # remaining one must meet u's elements
-            for i, v in enumerate(vs):
-                rest = 0
-                for j, e in enumerate(unions):
-                    if j != i:
-                        rest |= e
-                if dom[u] & sup[rest] == 0:
-                    nv = dom[v] & sup[elem_union(dom[u])]
-                    if nv == 0:
-                        return False
-                    if nv != dom[v]:
-                        dom[v] = nv
-                        changed = True
         # neighbor counting: the F-neighbors of u take distinct codes, each
         # meeting u's code and none equal to it; degree-1 vertices are skipped
         for u in range(n):

@@ -129,6 +129,11 @@ def cold_catalog_with_search_count(monkeypatch):
     return calls
 
 
+def refined_search(n, adj, autos):
+    """catalog._search on the stable colors of the rows adj."""
+    return catalog._search(n, adj, autos, catalog._refine_colors(n, adj))
+
+
 def group_order(n, autos):
     """The order of the permutation group on range(n) that autos generate."""
     group = {tuple(range(n))}
@@ -222,7 +227,7 @@ class TestCertificate:
         for n in range(1, 8):
             for G in [*itf.all_graphs(n), *(H for H in SYMMETRIC.values() if H.n == n)]:
                 autos = []
-                catalog._search(G.n, G.adj, autos)
+                refined_search(G.n, G.adj, autos)
                 for p in autos:
                     assert sorted(p) == list(range(n))
                     assert sorted(tuple(sorted((p[u], p[v]))) for u, v in G.edges) == list(G.edges)
@@ -255,7 +260,7 @@ class TestCertificate:
             rng.shuffle(perm)
             for H in (G, relabeled(G, perm)):
                 autos = []
-                catalog._search(H.n, H.adj, autos)
+                refined_search(H.n, H.adj, autos)
                 assert group_order(H.n, autos) == want, H.edges
 
     def test_carried_groups_are_the_searched_groups(self):
@@ -267,7 +272,7 @@ class TestCertificate:
                 carried = level.automorphisms(i)
                 assert group_order(n, carried) == brute_automorphism_count(G), G.edges
                 autos = []
-                catalog._search(n, G.adj, autos)
+                refined_search(n, G.adj, autos)
                 assert catalog._orbit_starts(n, carried) == catalog._orbit_starts(n, autos)
 
     def test_leaf_ordering_spells_out_the_code(self):
@@ -281,7 +286,7 @@ class TestCertificate:
                 rng.shuffle(perm)
                 graphs.append(relabeled(G, perm))
         for G in graphs:
-            code, leaf = catalog._search(G.n, G.adj)
+            code, leaf = refined_search(G.n, G.adj, [])
             assert sorted(leaf) == list(range(G.n))
             position = [0] * G.n
             for i, v in enumerate(leaf):
@@ -301,7 +306,7 @@ class TestCertificate:
             n = x + 1
             for R in itf.all_graphs(x):
                 autos = []
-                catalog._search(x, R.adj, autos)
+                refined_search(x, R.adj, autos)
                 for mask in catalog._orbit_starts(x, autos):
                     rows = [a | 1 << x if mask >> v & 1 else a for v, a in enumerate(R.adj)]
                     rows.append(mask)
@@ -313,7 +318,7 @@ class TestCertificate:
                         continue
                     rejected += 1
                     found = []
-                    _, leaf = catalog._search(n, rows, found)
+                    _, leaf = catalog._search(n, rows, found, colors)
                     c = next(v for v in leaf if rows[v].bit_count() == top)
                     assert not catalog._in_orbit(x, c, found), (R.edges, mask)
         assert rejected == 386

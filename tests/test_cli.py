@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import interfere as itf
-from interfere.cli import SCHEMA
+from interfere.cli import SCHEMA, _SUITES
 from interfere.index_search import DEFAULT_BUDGET
 
 from conftest import package_env, run_cli, run_cli_json
@@ -533,6 +533,17 @@ class TestSweep:
             ["sweep", "--suite", "nbd-oracle", "--graphs-file", str(p)]
         )
         assert code == OK and obj["graph_count"] == 2 and obj["ok"] is True
+
+    # a file replaces the catalog, so no order bound played a part
+    @pytest.mark.parametrize("suite", sorted(_SUITES))
+    @pytest.mark.parametrize("extra", [[], ["--max-n", "0"], ["--max-n", "7"]],
+                             ids=["default", "max-n-0", "max-n-7"])
+    def test_graphs_file_reports_no_max_n(self, tmp_path, suite, extra):
+        p = tmp_path / "graphs.g6"
+        p.write_text("Bw\nBg\n")
+        code, obj = run_cli_json(["sweep", "--suite", suite, "--graphs-file", str(p)] + extra)
+        assert code == OK and obj["ok"] is True and obj["check_count"] > 0
+        assert obj["max_n"] is None
 
     # every set is decided from 2^n-entry tables, so order 17 is refused
     # whatever the graph: also the edgeless one, where neither labeling is

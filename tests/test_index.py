@@ -417,6 +417,14 @@ class TestPinnedSearch:
             (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27),
             id="G(14,0.7)#2",
         ),
+        # an explicit set {0, 4, 5, 6, 8} leaves pairs of several candidates
+        # where one can be the sole support; a dual rule that narrowed that
+        # candidate to codes meeting u's elements took 9 nodes here
+        pytest.param(
+            gnp(9, 0.7, 2714), Pattern.explicit([0b101110001]),
+            [(4, True, 14)], (14, 5, 6, 2, 7, 8, 3, 4, 1),
+            id="G(9,0.7)#2714-explicit",
+        ),
     ])
     def test_nodes_trace_and_witness(self, G, P, trace, witness):
         res = interference_index(G, P)
