@@ -4,10 +4,11 @@ Every subcommand prints one JSON document to standard output, except `gen`
 (raw graph6 or edge-list text) and `domsets` (a bare JSON array).  Exit
 codes: 0 when a verdict was computed (even a negative one), 1 when stdout
 closed before the output was written (no report could be written), 2 on
-usage errors, 3 when a search budget or enumeration cap was exceeded, 4 on
-malformed input.  Reports carry "schema": "3" and a "timing" field in
-seconds; apart from the timing, output is byte-identical for identical
-arguments and seed.
+usage errors, 3 when a search budget or enumeration cap was exceeded or an
+input was too large to hold in memory, 4 on malformed input.  Reports carry
+"command", "schema": "3" and a "timing" field in seconds, all written by _run;
+apart from the timing, output is byte-identical for identical arguments and
+seed.
 
 Graph specs accepted by --graph: a family spec such as "wheel:5" or
 "husimi:3,4,5" (see families.py), "file:PATH" for the edge-list text
@@ -190,6 +191,8 @@ def resolve_pattern(name: str, G: Graph) -> Pattern:
             raise GraphFormatError(
                 "explicit pattern file must hold an array of arrays of vertices >= 0"
             )
+        if any(v >= G.n for row in data for v in row):  # before any mask is built
+            raise ValueError("explicit pattern has vertices outside the graph")
         return Pattern.explicit([mask_of(row) for row in data])
     raise ValueError(f"unknown pattern {name!r}")
 
@@ -216,7 +219,7 @@ def cmd_gen(args) -> Optional[dict]:
         return None
     if args.connected:
         raise ValueError("--connected applies only with --catalog")
-    G = parse_family_spec(args.family) if args.family else resolve_graph(args.graph)
+    G = resolve_graph(args.graph)
     if args.format == "graph6":
         print(to_graph6(G))
     else:
@@ -234,11 +237,7 @@ def cmd_domsets(args) -> Optional[dict]:
 def cmd_check(args) -> dict:
     G = resolve_graph(args.graph)
     f = _load_labeling(args.labeling, G)
-    report = {
-        "command": "check",
-        "graph": fingerprint(G),
-        "labeling_valid": is_valid_labeling(f),
-    }
+    report = {"graph": fingerprint(G), "labeling_valid": is_valid_labeling(f)}
     if args.set:
         P = Pattern.explicit([parse_vertex_set(text, G.n) for text in args.set])
     else:
@@ -257,12 +256,7 @@ def cmd_index(args) -> dict:
     P = resolve_pattern(args.pattern, G)
     if args.budget < 0:
         raise ValueError(f"node budget must be >= 0, got {args.budget}")
-    report = {
-        "command": "index",
-        "graph": fingerprint(G),
-        "pattern": args.pattern,
-        "budget": args.budget,
-    }
+    report = {"graph": fingerprint(G), "pattern": args.pattern, "budget": args.budget}
     try:
         res = interference_index(G, P, budget=args.budget)
     except NoDominatingSetError as exc:
@@ -282,7 +276,6 @@ def cmd_brm(args) -> dict:
         except ValueError:
             raise ValueError("--krs takes 'r,s'") from None
         return {
-            "command": "brm",
             "r": r,
             "s": s,
             "index": bipartite_index(r, s),
@@ -292,12 +285,12 @@ def cmd_brm(args) -> dict:
     if args.r is None or args.m is None:
         raise ValueError("brm needs --r and --m (or --krs r,s)")
     res = max_cross_intersecting(args.r, args.m)
-    return {"command": "brm", **res.as_dict()}
+    return res.as_dict()
 
 
 def cmd_nbd(args) -> dict:
     G = resolve_graph(args.graph)
-    report = {"command": "nbd", "graph": fingerprint(G), "labeling": args.labeling}
+    report = {"graph": fingerprint(G), "labeling": args.labeling}
     if args.set is not None:
         mode, target = "set", parse_vertex_set(args.set, G.n)
     elif args.singleton is not None:
@@ -356,7 +349,7 @@ def cmd_nbd(args) -> dict:
 def cmd_linegraph(args) -> dict:
     G = resolve_graph(args.graph)
     check_has_edge(G)
-    report = {"command": "linegraph", "graph": fingerprint(G), "check": args.check}
+    report = {"graph": fingerprint(G), "check": args.check}
     D = parse_edge_set(args.edge_set, G) if args.edge_set else None
     if D is not None:
         report["edge_set"] = [list(G.edges[i]) for i in iter_bits(D)]
@@ -400,7 +393,6 @@ def cmd_dpd(args) -> dict:
     M = path_dpd_set(G.n) if args.path_construction else parse_vertex_set(args.set, G.n)
     pat = distance_pattern(G, M)
     return {
-        "command": "dpd",
         "graph": fingerprint(G),
         "markers": bit_list(M),
         "ground_set_size": pat.ground_size,
@@ -498,7 +490,6 @@ def cmd_sweep(args) -> dict:
         raise ValueError(f"--suite {args.suite} made no check on {source}")
     mismatches.sort(key=lambda m: (m["graph6"], m["kind"], str(m["set"])))
     return {
-        "command": "sweep",
         "suite": args.suite,
         "max_n": None if args.graphs_file else args.max_n,  # a file ignores --max-n
         "seed": args.seed,
@@ -518,10 +509,7 @@ class _Parser(argparse.ArgumentParser):
     """Argparse that emits the JSON error object usage failures owe stdout."""
 
     def error(self, message):
-        print(json.dumps({"error": {"kind": "usage", "message": message},
-                          "schema": SCHEMA}, sort_keys=True))
-        print(f"usage error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_fail("usage", message, EXIT_USAGE))
 
     def print_help(self, file=None):
         # argparse drops a failed write; let a closed stdout reach main
@@ -535,7 +523,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="emit a named graph or a whole catalog level")
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--family", help="family spec such as wheel:5")
     grp.add_argument("--graph", help="any graph spec (family, file:PATH, g6:STRING)")
     grp.add_argument("--catalog", type=int, help="all graphs on exactly this many vertices")
     p.add_argument("--connected", action="store_true", help="restrict --catalog to connected graphs")
@@ -633,13 +620,15 @@ def _run(argv) -> int:
         return _fail("format", str(exc), EXIT_FORMAT)
     except (SearchBudgetExceeded, CapExceededError) as exc:
         return _fail("budget", str(exc), EXIT_BUDGET)
+    except (MemoryError, OverflowError):  # sizes no input check bounds
+        return _fail("budget", "input too large to hold in memory", EXIT_BUDGET)
     except HypothesisViolation as exc:
         return _fail("hypothesis", str(exc), EXIT_USAGE)
     except ValueError as exc:
         return _fail("usage", str(exc), EXIT_USAGE)
     if report is not None:
-        report["schema"] = SCHEMA
-        report["timing"] = round(time.perf_counter() - start, 6)
+        report.update(command=args.command, schema=SCHEMA,
+                      timing=round(time.perf_counter() - start, 6))
         print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 

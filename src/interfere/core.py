@@ -67,8 +67,7 @@ def is_valid_labeling(f: SetLabeling) -> bool:
     """Nonempty, in-range, pairwise-distinct labels over a nonempty ground set."""
     if f.ground_size < 1 or f.n < 1:
         return False
-    limit = 1 << f.ground_size
-    if any(lab == 0 or lab >= limit for lab in f.labels):
+    if any(lab == 0 or lab >> f.ground_size for lab in f.labels):
         return False
     return len(set(f.labels)) == f.n
 
@@ -126,12 +125,10 @@ class Pattern(NamedTuple):
 
     kind: str
     sets: Tuple[int, ...] = ()
-    parts: Tuple[int, int] = (0, 0)
 
     EXPLICIT = "explicit"
     SINGLETONS = "singletons"
     ALL_DOMINATING = "all_dominating"
-    CROSS_PAIRS = "cross_pairs"
 
     @classmethod
     def explicit(cls, sets: Sequence[int]) -> "Pattern":
@@ -150,9 +147,11 @@ class Pattern(NamedTuple):
 
     @classmethod
     def cross_pairs(cls, side_u: int, side_w: int) -> "Pattern":
+        """The explicit family of pairs {u, w}, u in side_u and w in side_w."""
         if side_u == 0 or side_w == 0 or (side_u & side_w):
             raise ValueError("cross_pairs needs two disjoint nonempty sides")
-        return cls(cls.CROSS_PAIRS, parts=(side_u, side_w))
+        return cls.explicit([(1 << u) | (1 << w)
+                             for u in iter_bits(side_u) for w in iter_bits(side_w)])
 
 
 def expand_pattern(G: Graph, P: Pattern) -> Tuple[int, ...]:
@@ -165,13 +164,6 @@ def expand_pattern(G: Graph, P: Pattern) -> Tuple[int, ...]:
         return tuple(1 << v for v in G.vertices())
     if P.kind == Pattern.ALL_DOMINATING:
         raise ValueError("list dominating sets with domination.minimal_dominating_sets")
-    if P.kind == Pattern.CROSS_PAIRS:
-        side_u, side_w = P.parts
-        if (side_u | side_w) >> G.n:
-            raise ValueError("cross_pairs sides have vertices outside the graph")
-        return tuple(
-            (1 << u) | (1 << w) for u in iter_bits(side_u) for w in iter_bits(side_w)
-        )
     raise ValueError(f"unknown pattern kind {P.kind!r}")
 
 

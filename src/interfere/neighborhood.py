@@ -45,7 +45,6 @@ class LabelingReport(NamedTuple):
     injective: bool
     has_empty_label: bool
     labeling: Optional[SetLabeling]
-    witness: Optional[Tuple[int, ...]]
 
     @property
     def valid(self) -> bool:
@@ -53,19 +52,9 @@ class LabelingReport(NamedTuple):
 
 
 def _report(G: Graph, labels: Tuple[int, ...]) -> LabelingReport:
-    empty = next((u for u in G.vertices() if labels[u] == 0), None)
-    clash = None
-    seen: dict[int, int] = {}
-    for u, lab in enumerate(labels):
-        if lab in seen:
-            clash = (seen[lab], u)
-            break
-        seen[lab] = u
-    injective = clash is None
-    if injective and empty is None:
-        return LabelingReport(True, False, SetLabeling(G.n, labels), None)
-    witness = clash if clash is not None else (empty,)
-    return LabelingReport(injective, empty is not None, None, witness)
+    injective, has_empty = len(set(labels)) == G.n, 0 in labels
+    valid = injective and not has_empty
+    return LabelingReport(injective, has_empty, SetLabeling(G.n, labels) if valid else None)
 
 
 def neighborhood_labeling(G: Graph) -> LabelingReport:

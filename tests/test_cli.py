@@ -27,12 +27,17 @@ def strip_timing(obj):
 
 class TestGen:
     def test_family_graph6(self):
-        code, out = run_cli(["gen", "--family", "wheel:5"])
+        code, out = run_cli(["gen", "--graph", "wheel:5"])
         assert code == OK and out == "Ehfw\n"
 
     def test_family_edges(self):
-        code, out = run_cli(["gen", "--family", "path:3", "--format", "edges"])
+        code, out = run_cli(["gen", "--graph", "path:3", "--format", "edges"])
         assert code == OK and out == "3\n0 1\n1 2\n"
+
+    def test_family_flag_is_retired(self):
+        # --graph takes every family spec; the second spelling is gone
+        code, obj = run_cli_json(["gen", "--family", "wheel:5"])
+        assert code == USAGE and obj["error"]["kind"] == "usage"
 
     def test_graph_spec_passthrough(self):
         code, out = run_cli(["gen", "--graph", "g6:Ehfw"])
@@ -58,8 +63,8 @@ class TestGen:
     # --connected filters the catalog, so with a single graph it would be
     # silently ignored
     @pytest.mark.parametrize("argv", [
-        ["--graph", "wheel:3", "--connected"],
-        ["--family", "path:3", "--connected"],
+        ["--graph", "g6:Bw", "--connected"],
+        ["--graph", "path:3", "--connected"],
     ], ids=["graph", "family"])
     def test_connected_without_catalog_is_usage(self, argv):
         code, obj = run_cli_json(["gen", *argv])
@@ -83,7 +88,7 @@ class TestGen:
     def test_unknown_family_is_format_error(self):
         # Anything malformed inside a graph spec string is a format problem,
         # same exit class as an unparseable graph6 word.
-        code, _ = run_cli(["gen", "--family", "moebius:5"])
+        code, _ = run_cli(["gen", "--graph", "moebius:5"])
         assert code == FORMAT
 
 
@@ -691,18 +696,68 @@ class TestUnreadableInput:
         assert obj["error"]["message"].startswith(f"cannot read {p}: ")
 
 
+# Sizes CPython refuses before it allocates anything: a vertex count of
+# 10^20 or 2^62, a vertex or a label element of 10^20, a ground set of 10^20
+OVERSIZED = {
+    "order-1e20": (["gen", "--graph", "file:{}"], "100000000000000000000\n", BUDGET),
+    "order-2e62": (["gen", "--graph", "file:{}"], f"{2 ** 62}\n", BUDGET),
+    "explicit-vertex": (["index", "--graph", "path:3", "--pattern", "explicit:{}"],
+                        "[[100000000000000000000]]", USAGE),
+    "ground-set": (["check", "--graph", "path:3", "--labeling", "{}", "--set", "0"],
+                   '{"ground_set_size": 100000000000000000000, "labels": [[0], [1], [2]]}', OK),
+    "label-element": (["check", "--graph", "path:3", "--labeling", "{}", "--set", "0"],
+                      '{"ground_set_size": 1000000000000000000000,'
+                      ' "labels": [[0], [1], [100000000000000000000]]}', BUDGET),
+}
+
+
+class TestOversizedInput:
+    """Numbers too large to hold end as a JSON error or a verdict: an order or
+    a label element in exit 3, a pattern vertex past the graph in exit 2, and
+    a ground set, which is never built, in a verdict."""
+
+    @pytest.mark.parametrize("name", sorted(OVERSIZED))
+    def test_exit_code_and_kind(self, tmp_path, name):
+        argv, content, want = OVERSIZED[name]
+        p = tmp_path / "input"
+        p.write_text(content)
+        code, obj = run_cli_json([tok.format(p) for tok in argv])
+        assert code == want
+        if want == OK:
+            assert obj["labeling_valid"] is True
+        else:
+            assert obj["error"]["kind"] == {BUDGET: "budget", USAGE: "usage"}[want]
+
+
 class TestHarness:
     def test_schema_field_everywhere(self):
-        for args in (
-            ["domsets", "--graph", "path:3"],
+        # every report carries the envelope, written by _run alone
+        for argv in (
+            ["check", "--graph", "path:3", "--labeling", "complete", "--set", "0"],
             ["index", "--graph", "complete:3", "--pattern", "singletons"],
+            ["brm", "--r", "2", "--m", "3"],
+            ["brm", "--krs", "2,3"],
             ["nbd", "--graph", "cycle:5", "--complete"],
+            ["linegraph", "--graph", "path:4", "--check", "injective"],
+            ["dpd", "--graph", "path:5", "--path-construction"],
+            ["sweep", "--suite", "lg-injectivity", "--max-n", "3"],
         ):
-            code, out = run_cli(args)
-            assert code == OK
-            parsed = json.loads(out)
-            if isinstance(parsed, dict):
-                assert parsed["schema"] == SCHEMA
+            code, obj = run_cli_json(argv)
+            assert code == OK, argv
+            assert obj["command"] == argv[0] and obj["schema"] == SCHEMA, argv
+            assert isinstance(obj["timing"], float), argv
+
+    def test_usage_errors_share_one_writer(self, capsys):
+        # an argparse error and a handler's ValueError print the same object
+        # shape, and the same stderr line
+        shapes = []
+        for argv in (["index", "--graph", "cycle:5", "--budget", "x"],
+                     ["index", "--graph", "cycle:5", "--budget", "-1"]):
+            code, obj = run_cli_json(argv)
+            assert code == USAGE and obj["error"]["kind"] == "usage"
+            assert capsys.readouterr().err == f"error: {obj['error']['message']}\n"
+            shapes.append((sorted(obj), sorted(obj["error"])))
+        assert shapes[0] == shapes[1] == (["error", "schema"], ["kind", "message"])
 
     def test_output_is_deterministic_up_to_timing(self):
         a = strip_timing(run_cli_json(["nbd", "--graph", "wheel:5", "--complete"])[1])

@@ -4,9 +4,14 @@ JSON error object with a documented exit code, never in a traceback.
 Values are kept small (family parameters <= 8, brm --r/--m <= 5, --max-n <= 4,
 --catalog <= 5, --budget <= 5,000) so that each call takes milliseconds.  Fixed
 examples add inputs that the drawn space leaves out on purpose: an index search
-1,001 levels deep on star:1000, which once ended in a RecursionError.  Hypothesis
-raises the recursion limit while it runs a test, so the test that pins the
-search depth against the limit is in test_cli.py.
+1,001 levels deep on star:1000, which once ended in a RecursionError, and numbers
+too large to hold (an order of 10^20 or 2^62, a pattern vertex, a label element
+or a ground set of 10^20), which once ended in an OverflowError or a
+MemoryError; each fails in CPython's size checks before anything is allocated.
+`gen --family`, retired since `--graph` takes every family spec, stays among the
+draws and must end as a usage error.  Hypothesis raises the recursion limit
+while it runs a test, so the test that pins the search depth against the limit
+is in test_cli.py.
 """
 
 import json
@@ -94,6 +99,7 @@ def cli_calls(draw, input_file, missing):
             argv.extend([flag, draw(values)])
 
     if cmd == "gen":
+        # --family is retired: it must be a usage error
         which = draw(st.sampled_from(("--family", "--graph", "--catalog")))
         values = {"--family": family_spec, "--catalog": small_ints(-1, 5)}
         argv += [which, draw(values[which]) if which in values else graph]
@@ -152,6 +158,15 @@ def test_main_never_escapes(files):
     @given(cli_calls(input_file, missing))
     @example((["index", "--graph", "star:1000", "--pattern", f"explicit:{input_file}",
                "--budget", "5000"], b"[[0]]"))
+    @example((["gen", "--graph", f"file:{input_file}"], b"100000000000000000000\n"))
+    @example((["gen", "--graph", f"file:{input_file}"], b"%d\n" % 2 ** 62))
+    @example((["index", "--graph", "path:3", "--pattern", f"explicit:{input_file}"],
+              b"[[100000000000000000000]]"))
+    @example((["check", "--graph", "path:3", "--labeling", str(input_file), "--set", "0"],
+              b'{"ground_set_size": 100000000000000000000, "labels": [[0], [1], [2]]}'))
+    @example((["check", "--graph", "path:3", "--labeling", str(input_file), "--set", "0"],
+              b'{"ground_set_size": 1000000000000000000000,'
+              b' "labels": [[0], [1], [100000000000000000000]]}'))
     def run(call):
         argv, content = call
         input_file.write_bytes(content)

@@ -103,11 +103,12 @@ class TestResultTypes:
             assert back == obj and type(back) is type(obj)
 
     def test_class_constants_are_not_fields(self):
-        assert Pattern._fields == ("kind", "sets", "parts")
+        assert Pattern._fields == ("kind", "sets")
         assert SetLabeling._fields == ("ground_size", "labels")
-        kinds = [Pattern.EXPLICIT, Pattern.SINGLETONS, Pattern.ALL_DOMINATING, Pattern.CROSS_PAIRS]
-        assert kinds == ["explicit", "singletons", "all_dominating", "cross_pairs"]
-        assert Pattern.singletons() == ("singletons", (), (0, 0))
+        kinds = [Pattern.EXPLICIT, Pattern.SINGLETONS, Pattern.ALL_DOMINATING]
+        assert kinds == ["explicit", "singletons", "all_dominating"]
+        assert not hasattr(Pattern, "CROSS_PAIRS")
+        assert Pattern.singletons() == ("singletons", ())
 
 
 class TestInterferencePredicate:
@@ -236,6 +237,11 @@ class TestPatterns:
         G = itf.complete_bipartite(2, 2)
         P = Pattern.cross_pairs(0b0011, 0b1100)
         assert set(expand_pattern(G, P)) == {0b0101, 0b1001, 0b0110, 0b1010}
+
+    def test_cross_pairs_is_the_explicit_family_of_its_pairs(self):
+        # u ascending, then w: the order in which check lists violations
+        assert Pattern.cross_pairs(0b0011, 0b1100) == Pattern.explicit(
+            [0b0101, 0b1001, 0b0110, 0b1010])
 
     def test_cross_pairs_validation(self):
         with pytest.raises(ValueError):

@@ -59,8 +59,6 @@ class TestLabelingReports:
     def test_square_is_not_injective(self):
         rep = neighborhood_labeling(cycle(4))
         assert not rep.injective and not rep.valid
-        u, v = rep.witness
-        assert u != v and cycle(4).adj[u] == cycle(4).adj[v]
 
     def test_isolated_vertex_gives_empty_label(self):
         rep = neighborhood_labeling(complete(1))
@@ -469,10 +467,10 @@ class TestClosedLabeling:
 
     def test_failure_reason(self):
         rep = itf.closed_labeling(complete(2))
-        assert not rep.valid and not rep.injective and rep.witness == (0, 1)
+        assert not rep.valid and not rep.injective
         assert not rep.has_empty_label
 
     def test_path_passes(self):
         rep = itf.closed_labeling(path(3))
-        assert rep.valid and rep.witness is None
+        assert rep.valid
         assert rep.labeling.labels == (0b011, 0b111, 0b110)
