@@ -1,5 +1,9 @@
 """Command-line front end with machine-readable JSON reports.
 
+This module owns the JSON format: it builds every report from the
+library's plain result types, and it parses both JSON input files, the
+labeling file of `check --labeling` and the explicit-pattern file.
+
 Every subcommand prints one JSON document to standard output, except `gen`
 (raw graph6 or edge-list text) and `domsets` (a bare JSON array).  Exit
 codes: 0 when a verdict was computed (even a negative one), 1 when stdout
@@ -177,7 +181,7 @@ def bipartition(G: Graph) -> Tuple[int, int]:
 
 def resolve_pattern(name: str, G: Graph) -> Pattern:
     if name == "singletons":
-        return Pattern.singletons()
+        return Pattern.singletons(G.n)
     if name in ("min-dominating", "all-dominating"):  # one pattern: f serves every dominating set
         return Pattern.all_dominating()
     if name == "cross-pairs":
@@ -200,14 +204,33 @@ def resolve_pattern(name: str, G: Graph) -> Pattern:
 def _load_labeling(spec: str, G: Graph) -> SetLabeling:
     if spec == "complete":
         return build_complete_interference(G.n)
-    f = SetLabeling.from_json_dict(_load_json(spec))
-    if f.n != G.n:
-        raise ValueError(f"labeling covers {f.n} vertices but the graph has {G.n}")
-    return f
+    obj = _load_json(spec)
+    try:
+        m, raw = obj["ground_set_size"], obj["labels"]
+    except (KeyError, TypeError):
+        raise GraphFormatError("labeling JSON needs ground_set_size and labels") from None
+    # type() rather than isinstance(): JSON true must not pass as 1
+    if type(m) is not int or m < 1:
+        raise GraphFormatError("ground_set_size must be a positive int")
+    if not isinstance(raw, list):
+        raise GraphFormatError("labels must be an array of element arrays")
+    labels = []
+    for lab in raw:
+        if not isinstance(lab, list) or not all(type(e) is int and 0 <= e < m for e in lab):
+            raise GraphFormatError(f"label {lab!r} is not an array of elements in 0..{m - 1}")
+        labels.append(mask_of(lab))
+    if len(labels) != G.n:
+        raise ValueError(f"labeling covers {len(labels)} vertices but the graph has {G.n}")
+    return SetLabeling(m, labels)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns a report dict, or None if it printed raw
+
+def _sets(masks) -> List[List[int]]:
+    """Each bitmask as its ascending element list, the form every report uses."""
+    return [bit_list(mask) for mask in masks]
+
 
 def cmd_gen(args) -> Optional[dict]:
     if args.catalog is not None:
@@ -230,7 +253,7 @@ def cmd_gen(args) -> Optional[dict]:
 def cmd_domsets(args) -> Optional[dict]:
     G = resolve_graph(args.graph)
     sets = minimal_dominating_sets(G) if args.kind == "minimal" else all_dominating_sets(G)
-    print(json.dumps([bit_list(D) for D in sets]))
+    print(json.dumps(_sets(sets)))
     return None
 
 
@@ -246,7 +269,9 @@ def cmd_check(args) -> dict:
     report["sets_checked"] = None if P.kind == Pattern.ALL_DOMINATING else len(expand_pattern(G, P))
     valid, violations = report["labeling_valid"], []
     if valid:
-        violations = [{"set": bit_list(D), **v.as_dict()} for D, v in pattern_violations(G, P, f)]
+        violations = [{"set": bit_list(D), "vertex": v.vertex,
+                       "candidates": bit_list(v.candidates_mask)}
+                      for D, v in pattern_violations(G, P, f)]
     report.update({"verdict": valid and not violations, "violations": violations})
     return report
 
@@ -262,8 +287,9 @@ def cmd_index(args) -> dict:
     except NoDominatingSetError as exc:
         report.update({"defined": False, "reason": str(exc)})
         return report
-    report["defined"] = True
-    report.update(res.as_dict())
+    report.update(res._asdict(), defined=True, trace=[p._asdict() for p in res.trace],
+                  witness={"ground_set_size": res.witness.ground_size,
+                           "labels": _sets(res.witness.labels)})
     return report
 
 
@@ -285,7 +311,7 @@ def cmd_brm(args) -> dict:
     if args.r is None or args.m is None:
         raise ValueError("brm needs --r and --m (or --krs r,s)")
     res = max_cross_intersecting(args.r, args.m)
-    return res.as_dict()
+    return {**res._asdict(), "family": _sets(res.family), "partners": _sets(res.partners)}
 
 
 def cmd_nbd(args) -> dict:
@@ -396,7 +422,7 @@ def cmd_dpd(args) -> dict:
         "graph": fingerprint(G),
         "markers": bit_list(M),
         "ground_set_size": pat.ground_size,
-        "patterns": pat.as_sets(),
+        "patterns": _sets(pat.labels),
         "dpd": is_dpd_set(G, M),
         "interference": dpd_interference_check(G, M),
     }

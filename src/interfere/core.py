@@ -12,10 +12,9 @@ off closed neighborhoods, with no listing and no order cap.
 """
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from .bitset import bit_list, check_set, iter_bits, mask_of
-from .errors import GraphFormatError
+from .bitset import check_set, iter_bits
 from .graphs import Graph, closed_neighborhood
 
 
@@ -37,31 +36,6 @@ class SetLabeling(_SetLabelingFields):
     def n(self) -> int:
         return len(self.labels)
 
-    def as_sets(self) -> List[List[int]]:
-        return [bit_list(lab) for lab in self.labels]
-
-    def to_json_dict(self) -> dict:
-        return {"ground_set_size": self.ground_size, "labels": self.as_sets()}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SetLabeling":
-        try:
-            m = obj["ground_set_size"]
-            raw = obj["labels"]
-        except (KeyError, TypeError):
-            raise GraphFormatError("labeling JSON needs ground_set_size and labels") from None
-        # type() rather than isinstance(): JSON true must not pass as 1
-        if type(m) is not int or m < 1:
-            raise GraphFormatError("ground_set_size must be a positive int")
-        if not isinstance(raw, list):
-            raise GraphFormatError("labels must be an array of element arrays")
-        labels = []
-        for lab in raw:
-            if not isinstance(lab, list) or not all(type(e) is int and 0 <= e < m for e in lab):
-                raise GraphFormatError(f"label {lab!r} is not an array of elements in 0..{m - 1}")
-            labels.append(mask_of(lab))
-        return cls(m, tuple(labels))
-
 
 def is_valid_labeling(f: SetLabeling) -> bool:
     """Nonempty, in-range, pairwise-distinct labels over a nonempty ground set."""
@@ -82,9 +56,6 @@ class Violation(NamedTuple):
 
     vertex: int
     candidates_mask: int
-
-    def as_dict(self) -> dict:
-        return {"vertex": self.vertex, "candidates": bit_list(self.candidates_mask)}
 
 
 def overlap_graph(G: Graph, f: SetLabeling) -> Graph:
@@ -121,13 +92,12 @@ def is_interference(G: Graph, D: int, f: SetLabeling) -> bool:
 # pattern families
 
 class Pattern(NamedTuple):
-    """A family of target sets, explicit or symbolic."""
+    """A listed family of target sets, or the dominating pattern."""
 
     kind: str
     sets: Tuple[int, ...] = ()
 
     EXPLICIT = "explicit"
-    SINGLETONS = "singletons"
     ALL_DOMINATING = "all_dominating"
 
     @classmethod
@@ -138,8 +108,9 @@ class Pattern(NamedTuple):
         return cls(cls.EXPLICIT, sets=sets)
 
     @classmethod
-    def singletons(cls) -> "Pattern":
-        return cls(cls.SINGLETONS)
+    def singletons(cls, n: int) -> "Pattern":
+        """The explicit family of the n one-vertex sets."""
+        return cls.explicit([1 << v for v in range(n)])
 
     @classmethod
     def all_dominating(cls) -> "Pattern":
@@ -160,8 +131,6 @@ def expand_pattern(G: Graph, P: Pattern) -> Tuple[int, ...]:
         if any(D >> G.n for D in P.sets):
             raise ValueError("explicit pattern has vertices outside the graph")
         return P.sets
-    if P.kind == Pattern.SINGLETONS:
-        return tuple(1 << v for v in G.vertices())
     if P.kind == Pattern.ALL_DOMINATING:
         raise ValueError("list dominating sets with domination.minimal_dominating_sets")
     raise ValueError(f"unknown pattern kind {P.kind!r}")

@@ -66,7 +66,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import List, NamedTuple, Optional, Tuple
 
-from .bitset import bit_list, iter_bits
+from .bitset import iter_bits
 from .core import (
     Pattern, SetLabeling, build_complete_interference, expand_pattern, is_pattern_interference
 )
@@ -107,14 +107,6 @@ class IndexResult(NamedTuple):
     nodes_explored: int
     trace: Tuple[PhaseOutcome, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "witness": self.witness.to_json_dict(),
-            "lower_bound_used": self.lower_bound_used,
-            "nodes_explored": self.nodes_explored,
-            "trace": [p._asdict() for p in self.trace],
-        }
 
 
 def _constraints_for(G: Graph, P: Pattern) -> List[Tuple[int, int]]:
@@ -447,14 +439,6 @@ class CrossIntersectingResult(NamedTuple):
     family: Tuple[int, ...]
     partners: Tuple[int, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "m": self.m,
-            "value": self.value,
-            "family": [bit_list(c) for c in self.family],
-            "partners": [bit_list(c) for c in self.partners],
-        }
 
 
 def max_cross_intersecting(r: int, m: int) -> CrossIntersectingResult:

@@ -204,6 +204,24 @@ class TestCheck:
         assert code == USAGE
         assert obj["error"]["message"] == "vertex 5 out of range for order 5"
 
+    @pytest.mark.parametrize("graph, pattern", [
+        ("wheel:5", "explicit:hub.json"),
+        ("kpq:3,4", "cross-pairs"),
+        ("complete:4", "singletons"),
+        ("g6:MFy{O}vst]BZ~syp?", "all-dominating"),  # G(14,0.7)#0
+    ])
+    def test_index_witness_passes_check(self, graph, pattern, tmp_path, monkeypatch):
+        # the labeling file check reads is the witness index writes
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "hub.json").write_text("[[5]]")
+        code, obj = run_cli_json(["index", "--graph", graph, "--pattern", pattern])
+        assert code == OK and obj["defined"] is True
+        (tmp_path / "witness.json").write_text(json.dumps(obj["witness"]))
+        code, obj = run_cli_json(["check", "--graph", graph, "--pattern", pattern,
+                                  "--labeling", "witness.json"])
+        assert code == OK
+        assert obj["labeling_valid"] is True and obj["verdict"] is True
+
     def test_vertex_out_of_range_is_usage(self):
         code, out = run_cli(
             ["check", "--graph", "complete:3", "--labeling", "complete", "--set", "9"]
@@ -746,6 +764,74 @@ class TestHarness:
             assert code == OK, argv
             assert obj["command"] == argv[0] and obj["schema"] == SCHEMA, argv
             assert isinstance(obj["timing"], float), argv
+
+    def test_report_is_pinned(self, tmp_path, monkeypatch):
+        # whole reports, minus timing: every field name and shape the CLI writes
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "hub.json").write_text("[[5]]")
+        (tmp_path / "p0.json").write_text("[[0]]")
+        (tmp_path / "lab3.json").write_text('{"ground_set_size": 2, "labels": [[0], [1], [0, 1]]}')
+        (tmp_path / "disj5.json").write_text(
+            '{"ground_set_size": 5, "labels": [[0], [1], [2], [3], [4]]}')
+        budget = {"budget": DEFAULT_BUDGET, "command": "index", "schema": SCHEMA}
+        pinned = [
+            ("index --graph complete:4 --pattern singletons", {
+                **budget, "defined": True, "pattern": "singletons",
+                "graph": {"degree_sequence": [3, 3, 3, 3], "edge_hash": "21498e5cb7ea17f4",
+                          "m": 6, "n": 4},
+                "index": 3, "lower_bound_used": 3, "nodes_explored": 0,
+                "trace": [{"found": True, "m": 3, "nodes": 0}],
+                "witness": {"ground_set_size": 3, "labels": [[0], [0, 1], [0, 2], [0, 1, 2]]}}),
+            ("index --graph wheel:5 --pattern explicit:hub.json", {
+                **budget, "defined": True, "pattern": "explicit:hub.json",
+                "graph": {"degree_sequence": [5, 3, 3, 3, 3, 3], "edge_hash": "0549d05954432c9e",
+                          "m": 10, "n": 6},
+                "index": 3, "lower_bound_used": 3, "nodes_explored": 6,
+                "trace": [{"found": True, "m": 3, "nodes": 6}],
+                "witness": {"ground_set_size": 3,
+                            "labels": [[0], [1], [0, 2], [1, 2], [0, 1, 2], [0, 1]]}}),
+            ("index --graph path:3 --pattern explicit:p0.json", {
+                **budget, "defined": False, "pattern": "explicit:p0.json",
+                "graph": {"degree_sequence": [2, 1, 1], "edge_hash": "5b20ce7c7fe083d6",
+                          "m": 2, "n": 3},
+                "reason": "target set [0] does not dominate; index undefined"}),
+            ("brm --r 2 --m 4", {
+                "command": "brm", "schema": SCHEMA, "r": 2, "m": 4, "value": 12,
+                "family": [[0, 1, 2], [0, 1, 2, 3]],
+                "partners": [[0], [1], [0, 1], [2], [0, 2], [1, 2], [0, 3], [1, 3], [0, 1, 3],
+                             [2, 3], [0, 2, 3], [1, 2, 3]]}),
+            ("brm --krs 2,5", {
+                "command": "brm", "schema": SCHEMA, "r": 2, "s": 5, "index": 4,
+                "side_index": 3, "upper_bound": 4}),
+            ("check --graph complete:3 --labeling lab3.json --set 0 --set 1,2", {
+                "command": "check", "schema": SCHEMA,
+                "graph": {"degree_sequence": [2, 2, 2], "edge_hash": "31fc601b43407764",
+                          "m": 3, "n": 3},
+                "labeling_valid": True, "sets_checked": 2, "verdict": False,
+                "violations": [{"candidates": [0], "set": [0], "vertex": 1}]}),
+            ("check --graph path:5 --labeling disj5.json --pattern all-dominating", {
+                "command": "check", "schema": SCHEMA,
+                "graph": {"degree_sequence": [2, 2, 2, 1, 1], "edge_hash": "08bdac537b0915ee",
+                          "m": 4, "n": 5},
+                "labeling_valid": True, "sets_checked": None, "verdict": False,
+                "violations": [
+                    {"candidates": [1], "set": [1, 2, 3, 4], "vertex": 0},
+                    {"candidates": [0, 2], "set": [0, 2, 3, 4], "vertex": 1},
+                    {"candidates": [1, 3], "set": [0, 1, 3, 4], "vertex": 2},
+                    {"candidates": [2, 4], "set": [0, 1, 2, 4], "vertex": 3},
+                    {"candidates": [3], "set": [0, 1, 2, 3], "vertex": 4}]}),
+            ("dpd --graph path:9 --path-construction", {
+                "command": "dpd", "schema": SCHEMA,
+                "graph": {"degree_sequence": [2, 2, 2, 2, 2, 2, 2, 1, 1],
+                          "edge_hash": "5314c3f5f868242c", "m": 8, "n": 9},
+                "markers": [0, 1, 3, 6], "ground_set_size": 9, "dpd": True, "interference": True,
+                "patterns": [[0, 1, 3, 6], [0, 1, 2, 5], [1, 2, 4], [0, 2, 3], [1, 2, 3, 4],
+                             [1, 2, 4, 5], [0, 3, 5, 6], [1, 4, 6, 7], [2, 5, 7, 8]]}),
+        ]
+        for argv, want in pinned:
+            code, obj = run_cli_json(argv.split())
+            assert code == OK, argv
+            assert strip_timing(obj) == want, argv
 
     def test_usage_errors_share_one_writer(self, capsys):
         # an argparse error and a handler's ValueError print the same object

@@ -59,15 +59,6 @@ class TestLabelingValidity:
             lab = SetLabeling(m, list(labels))
             assert is_valid_labeling(lab) == brute_is_valid(lab)
 
-    def test_json_round_trip(self):
-        lab = SetLabeling(3, [1, 6, 5])
-        d = lab.to_json_dict()
-        assert d == {"ground_set_size": 3, "labels": [[0], [1, 2], [0, 2]]}
-        assert SetLabeling.from_json_dict(d) == lab
-
-    def test_as_sets(self):
-        assert SetLabeling(3, [5]).as_sets() == [[0, 2]]
-
 
 class TestResultTypes:
     """The result types are NamedTuples; these are the tuple behaviours the
@@ -82,7 +73,7 @@ class TestResultTypes:
     def test_fields_are_read_only(self):
         for obj, field in [
             (SetLabeling(2, [1, 2]), "labels"),
-            (Pattern.singletons(), "kind"),
+            (Pattern.singletons(3), "kind"),
             (itf.interference_index(itf.cycle(5), Pattern.all_dominating()), "index"),
             (itf.line_injectivity_report(itf.path(3)), "injective"),
             (itf.neighborhood_labeling(itf.path(3)), "labeling"),
@@ -105,10 +96,9 @@ class TestResultTypes:
     def test_class_constants_are_not_fields(self):
         assert Pattern._fields == ("kind", "sets")
         assert SetLabeling._fields == ("ground_size", "labels")
-        kinds = [Pattern.EXPLICIT, Pattern.SINGLETONS, Pattern.ALL_DOMINATING]
-        assert kinds == ["explicit", "singletons", "all_dominating"]
-        assert not hasattr(Pattern, "CROSS_PAIRS")
-        assert Pattern.singletons() == ("singletons", ())
+        assert [Pattern.EXPLICIT, Pattern.ALL_DOMINATING] == ["explicit", "all_dominating"]
+        assert not hasattr(Pattern, "CROSS_PAIRS") and not hasattr(Pattern, "SINGLETONS")
+        assert Pattern.all_dominating() == ("all_dominating", ())
 
 
 class TestInterferencePredicate:
@@ -124,8 +114,7 @@ class TestInterferencePredicate:
         lab = SetLabeling(2, [1, 2, 3])
         v = overlap_violation(complete(3), overlap_graph(complete(3), lab), 0b001)
         assert v is not None
-        assert v.vertex == 1
-        assert v.as_dict() == {"vertex": 1, "candidates": [0]}
+        assert v.vertex == 1 and v.candidates_mask == 0b001
         assert not is_interference(complete(3), 0b001, lab)
 
     def test_no_violation_returns_none(self):
@@ -222,7 +211,8 @@ def test_vertex_guards(name):
 class TestPatterns:
     def test_singletons_expansion(self):
         G = itf.path(3)
-        assert expand_pattern(G, Pattern.singletons()) == (1, 2, 4)
+        assert expand_pattern(G, Pattern.singletons(G.n)) == (1, 2, 4)
+        assert Pattern.singletons(3) == Pattern.explicit([1, 2, 4])
 
     def test_explicit_keeps_given_sets(self):
         G = itf.path(3)
@@ -354,7 +344,7 @@ class TestPatternViolations:
             nbrs = neighbor_sets(G)
             lab = random_labeling(n, 3, rng)
             sets = labels_as_sets(lab)
-            patterns = [Pattern.singletons(),
+            patterns = [Pattern.singletons(n),
                         Pattern.explicit([rng.randrange(1, 1 << n) for _ in range(5)])]
             try:
                 patterns.append(Pattern.cross_pairs(*bipartition(G)))

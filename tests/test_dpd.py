@@ -31,12 +31,12 @@ class TestDistancePattern:
 
     def test_two_markers_merge_distance_sets(self):
         pat = distance_pattern(path(4), mask_of([0, 3]))
-        assert pat.as_sets() == [
-            [0, 3],
-            [1, 2],
-            [1, 2],
-            [0, 3],
-        ]
+        assert pat.labels == (
+            mask_of([0, 3]),
+            mask_of([1, 2]),
+            mask_of([1, 2]),
+            mask_of([0, 3]),
+        )
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_labels_match_set_distances(self, n):

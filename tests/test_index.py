@@ -136,18 +136,16 @@ TWIN_RICH = (
     + [itf.star(s) for s in range(2, 7)]
     + [itf.wheel(n) for n in range(3, 7)]
 )
-PATTERNS = (
-    Pattern.all_dominating(),
-    Pattern.singletons(),
-)
 
 
 def patterns_of(G):
-    """PATTERNS, plus cross-pairs when G has a bipartition with two sides."""
+    """The dominating pattern and the singletons, plus cross-pairs when G has
+    a bipartition with two sides."""
+    patterns = (Pattern.all_dominating(), Pattern.singletons(G.n))
     try:
-        return PATTERNS + (Pattern.cross_pairs(*bipartition(G)),)
+        return patterns + (Pattern.cross_pairs(*bipartition(G)),)
     except ValueError:
-        return PATTERNS  # an odd cycle, or the empty second side of K1
+        return patterns  # an odd cycle, or the empty second side of K1
 
 
 class TestSymmetryRules:
@@ -155,7 +153,7 @@ class TestSymmetryRules:
 
     @staticmethod
     def _compare(G):
-        for P in PATTERNS:
+        for P in patterns_of(G):
             try:
                 index = interference_index(G, P).index
                 expected = {index - 1: False, index: True}
@@ -225,7 +223,7 @@ class TestTwinClasses:
         ]
         for G in graphs:
             yield G, Pattern.all_dominating()
-            yield G, Pattern.singletons()
+            yield G, Pattern.singletons(G.n)
             fam = itf.minimal_dominating_sets(G)
             for _ in range(2):
                 yield G, Pattern.explicit(rng.sample(fam, rng.randint(1, min(3, len(fam)))))
@@ -562,7 +560,7 @@ class TestIndexOnCompleteGraphs:
         assert exists_interference(complete(n), Pattern.all_dominating(), res.index - 1) is None
 
     def test_trace_shows_failed_phase_when_gap_exists(self):
-        res = interference_index(complete(3), Pattern.singletons())
+        res = interference_index(complete(3), Pattern.singletons(3))
         assert [(p.m, p.found) for p in res.trace] == [(2, False), (3, True)]
         assert res.lower_bound_used == 2
 
@@ -660,21 +658,14 @@ class TestIndexMachinery:
         bad = SetLabeling(2, (0b01, 0b10, 0b11))
         monkeypatch.setattr(itf.index_search._Kernel, "search", lambda self: bad)
         with pytest.raises(RuntimeError, match="bug"):
-            interference_index(complete(3), Pattern.singletons())
+            interference_index(complete(3), Pattern.singletons(3))
         with pytest.raises(RuntimeError, match="bug"):
-            exists_interference(complete(3), Pattern.singletons(), 2)
+            exists_interference(complete(3), Pattern.singletons(3), 2)
         # the construction passes the same guard: here vertex 1 misses {0}
         bad = SetLabeling(3, (0b001, 0b010, 0b100, 0b011))
         monkeypatch.setattr(itf.index_search, "build_complete_interference", lambda n: bad)
         with pytest.raises(RuntimeError, match="bug"):
-            interference_index(complete(4), Pattern.singletons())
-
-    def test_result_serialization(self):
-        res = interference_index(complete(4), Pattern.singletons())
-        d = res.as_dict()
-        assert d["index"] == 3
-        assert d["witness"]["ground_set_size"] == 3
-        assert [p["m"] for p in d["trace"]] == [3]
+            interference_index(complete(4), Pattern.singletons(4))
 
 
 class TestCrossIntersecting:
@@ -685,13 +676,9 @@ class TestCrossIntersecting:
     @pytest.mark.parametrize("r,m", sorted(CROSS_PINNED))
     def test_pinned_result(self, r, m):
         value, family, partners = CROSS_PINNED[(r, m)]
-        assert max_cross_intersecting(r, m).as_dict() == {
-            "r": r,
-            "m": m,
-            "value": value,
-            "family": [bit_list(c) for c in family],
-            "partners": [bit_list(c) for c in range(1 << m) if partners >> c & 1],
-        }
+        assert max_cross_intersecting(r, m) == (
+            r, m, value, family, tuple(c for c in range(1 << m) if partners >> c & 1)
+        )
 
     @pytest.mark.parametrize(
         "r,m",
