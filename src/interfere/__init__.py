@@ -94,7 +94,6 @@ from .index_search import (
     PhaseOutcome,
     bipartite_index,
     bipartite_index_upper_bound,
-    bipartite_side_index,
     ceil_log2,
     exists_interference,
     index_lower_bound,
@@ -107,7 +106,6 @@ from .linegraph import (
     LineCompleteReport,
     edge_mask,
     line_complemented_independence_rule,
-    line_complemented_interference_of,
     line_complemented_regular_rule,
     line_complemented_size_rule,
     line_complete_report,
@@ -125,11 +123,9 @@ from .neighborhood import (
     complemented_interference_of,
     complemented_labeling,
     complemented_sufficient_rule,
-    neighborhood_all_but_one,
     neighborhood_complete,
     neighborhood_interference_of,
     neighborhood_labeling,
-    neighborhood_singleton,
     two_path_complete,
     two_path_graph,
 )

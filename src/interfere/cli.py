@@ -75,14 +75,13 @@ from .index_search import (
     DEFAULT_BUDGET,
     bipartite_index,
     bipartite_index_upper_bound,
-    bipartite_side_index,
+    index_lower_bound,
     interference_index,
     max_cross_intersecting,
 )
 from .linegraph import (
     edge_mask,
     line_complemented_independence_rule,
-    line_complemented_interference_of,
     line_complemented_regular_rule,
     line_complemented_size_rule,
     line_complete_report,
@@ -95,11 +94,9 @@ from .neighborhood import (
     complemented_interference_of,
     complemented_labeling,
     complemented_sufficient_rule,
-    neighborhood_all_but_one,
     neighborhood_complete,
     neighborhood_interference_of,
     neighborhood_labeling,
-    neighborhood_singleton,
     two_path_complete,
     two_path_graph,
 )
@@ -306,7 +303,7 @@ def cmd_brm(args) -> dict:
             "s": s,
             "index": bipartite_index(r, s),
             "upper_bound": bipartite_index_upper_bound(r, s),
-            "side_index": bipartite_side_index(r, s),
+            "side_index": index_lower_bound(r + s),
         }
     if args.r is None or args.m is None:
         raise ValueError("brm needs --r and --m (or --krs r,s)")
@@ -344,15 +341,9 @@ def cmd_nbd(args) -> dict:
             verdict = neighborhood_complete(G)
             trace["two_path_complete"] = two_path_complete(G)
             rule = "open_complete"
-        elif mode == "singleton":
-            verdict = neighborhood_singleton(G, args.singleton)
-            rule = "open_singleton"
-        elif mode == "allbut":
-            verdict = neighborhood_all_but_one(G, args.allbut)
-            rule = "open_allbut"
         else:
             verdict = neighborhood_interference_of(G, target)
-            rule = "open_set"
+            rule = f"open_{mode}"
     elif args.labeling == "complemented":
         if mode == "complete":
             verdict = complemented_complete(G)
@@ -398,7 +389,7 @@ def cmd_linegraph(args) -> dict:
     elif args.check == "cnbd":
         if D is None:
             raise ValueError("--check cnbd needs --edge-set")
-        report["verdict"] = line_complemented_interference_of(G, D)
+        report["verdict"] = complemented_interference_of(line_graph(G), D)
     else:  # rules
         independence = line_complemented_independence_rule(G)
         regular = line_complemented_regular_rule(G)

@@ -508,14 +508,3 @@ def bipartite_index(r: int, s: int) -> int:
         if max_cross_intersecting(r, m).value >= s:
             return m
     raise RuntimeError("extremal scan exceeded the certified upper bound (bug)")
-
-
-def bipartite_side_index(r: int, s: int) -> int:
-    """Index for a single-side family {U} or {W}: ceil(log2(n+1)).
-
-    Either side of a complete bipartite graph is fully joined to the rest,
-    so only injectivity plus one shared element constrain the labeling.
-    """
-    if r < 1 or s < 1:
-        raise ValueError("need r, s >= 1")
-    return index_lower_bound(r + s)

@@ -5,12 +5,12 @@ and the interference condition is with respect to the complete graph on the
 edge set.  That is the neighborhood question asked of the line graph: edge i
 is vertex i of L(G), and its label is N_{L(G)}(i) or its complement.  So
 the per-set verdicts are the neighborhood criteria called on line_graph(G),
-e.g. neighborhood_interference_of(line_graph(G), D) or
-neighborhood_singleton(line_graph(G), e), and this module holds only the
-statements about G itself: the K2/sandwich description of injectivity, the
-three clauses that decide completeness on G with no line graph, and the
-complemented labeling under its hypotheses (connected, order >= 5) with the
-size, independence and regular rules.
+neighborhood_interference_of(line_graph(G), D) for the open labeling and
+complemented_interference_of(line_graph(G), D) for the complemented one,
+and this module holds only the statements about G itself: the K2/sandwich
+description of injectivity, the three clauses that decide completeness on G
+with no line graph, and the complemented labeling's size rule (connected G
+of order >= 5), independence rule and regular rule.
 
 Edge sets are int bitmasks over canonical edge indices (Graph.edges order).
 """
@@ -120,27 +120,13 @@ def line_complete_report(G: Graph) -> LineCompleteReport:
 # ---------------------------------------------------------------------------
 # complemented edge labeling
 
-def _require_cnbd_hypotheses(G: Graph) -> None:
+def line_complemented_size_rule(G: Graph, D: int) -> bool:
+    """Dichotomy for |D| >= 5: either the labeling interferes for D or some
+    outside edge neighbors every other edge.  Returns the disjunction."""
     if not is_connected(G):
         raise HypothesisViolation("complemented edge criteria need a connected graph")
     if G.n < 5:
         raise HypothesisViolation("complemented edge criteria need order >= 5")
-
-
-def line_complemented_interference_of(G: Graph, D: int) -> bool:
-    """Whether edge -> non-neighboring-edges interferes for D, decided by
-    complemented_interference_of on the line graph.
-
-    On a connected graph of order >= 5 the labeling is automatically valid.
-    """
-    _require_cnbd_hypotheses(G)
-    return complemented_interference_of(line_graph(G), D)
-
-
-def line_complemented_size_rule(G: Graph, D: int) -> bool:
-    """Dichotomy for |D| >= 5: either the labeling interferes for D or some
-    outside edge neighbors every other edge.  Returns the disjunction."""
-    _require_cnbd_hypotheses(G)
     if D.bit_count() < 5:
         raise HypothesisViolation("size rule needs |D| >= 5")
     L = line_graph(G)

@@ -14,26 +14,25 @@ Each target-set criterion splits into a per-graph fact and a cheap test per
 target set D.  The open criterion is domination of the two-path graph T(G),
 where u ~ v when N(u) and N(v) meet, i.e. u and v lie at distance two or on
 a common triangle; two_path_graph builds its rows from the rows of G, not
-from the labels.  The singleton and all-but-one criteria, completeness and
-the distance-two sufficient rule read the same rows.  The complemented
-criterion is point-determinacy plus complemented_escapes, a test on the
-common neighborhood of D.  complemented_escape_family decides every D at
-once: D fails iff it lies inside M_u = N(u) ∩ ⋂_{w ∉ N[u]} N(w) for some u,
-so the family is the complement of domination.down_set over the M_u.
+from the labels.  Completeness and the distance-two sufficient rule read the
+same rows.  The complemented criterion is point-determinacy plus
+complemented_escapes, a test on the common neighborhood of D.  Neither
+per-set criterion needs G connected.  complemented_escape_family decides
+every D at once: D fails iff it lies inside M_u = N(u) ∩ ⋂_{w ∉ N[u]} N(w)
+for some u, so the family is the complement of domination.down_set over
+the M_u.
 """
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from .bitset import check_set, check_vertex, iter_bits
+from .bitset import check_set, iter_bits
 from .core import SetLabeling
 from .domination import down_set, is_dominating
-from .errors import HypothesisViolation
 from .graphs import (
     Graph,
     closed_neighborhood,
     complemented_neighborhood,
-    is_connected,
     is_point_determining,
     is_regular,
 )
@@ -129,24 +128,6 @@ def neighborhood_complete(G: Graph) -> bool:
     every edge lies in a triangle, that is, every two vertices have a common
     neighbor (two_path_complete)."""
     return _open_valid(G) and two_path_complete(G)
-
-
-def neighborhood_singleton(G: Graph, v: int) -> bool:
-    """Interference of the single vertex {v}: everything within distance two
-    of v and every edge at v on a triangle, i.e. row v of T(G) is complete."""
-    check_vertex(v, G.n)
-    return _open_valid(G) and _two_path_row(G, v) | 1 << v == G.full_mask
-
-
-def neighborhood_all_but_one(G: Graph, v: int) -> bool:
-    """Interference of V minus {v}: v must touch a vertex of degree >= 2,
-    i.e. row v of T(G) is nonempty."""
-    check_vertex(v, G.n)
-    if not is_connected(G):
-        raise HypothesisViolation("all-but-one criterion needs a connected graph")
-    if G.n < 2:
-        raise ValueError("all-but-one target set is empty for n=1")
-    return _open_valid(G) and _two_path_row(G, v) != 0
 
 
 def two_path_complete(G: Graph) -> bool:

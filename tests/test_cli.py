@@ -386,11 +386,30 @@ class TestNbd:
         assert code == OK and obj["verdict"] is True
         assert obj["trace"] == {"injective": True, "has_empty_label": False, "reason": None}
 
-    def test_allbut_disconnected_is_usage(self):
-        code, obj = run_cli_json(["nbd", "--graph", "matching:2", "--allbut", "0"])
-        assert code == USAGE
-        assert obj["error"] == {"kind": "hypothesis",
-                                "message": "all-but-one criterion needs a connected graph"}
+    def test_disconnected_targets_are_decided(self):
+        # every labeling decides {v} and V minus {v} on 2K2 and P4 u P4 with
+        # its per-set criterion, and agrees with the definitional oracle
+        labelings = {"open": itf.neighborhood_labeling,
+                     "complemented": itf.complemented_labeling,
+                     "closed": itf.closed_labeling}
+        got = {}
+        for labeling, build in labelings.items():
+            for spec, G in (("matching:2", itf.matching(2)),
+                            ("g6:Gh?GGC", itf.from_graph6("Gh?GGC"))):
+                rep = build(G)
+                host = G if labeling == "closed" else itf.complete(G.n)
+                for flag in ("--singleton", "--allbut"):
+                    for v in (0, 1):
+                        D = 1 << v if flag == "--singleton" else G.full_mask & ~(1 << v)
+                        code, obj = run_cli_json(
+                            ["nbd", "--graph", spec, "--labeling", labeling, flag, str(v)])
+                        assert code == OK, obj
+                        want = rep.valid and itf.is_interference(host, D, rep.labeling)
+                        assert obj["verdict"] is want, (labeling, spec, flag, v)
+                        got[labeling, spec, flag, v] = want
+        assert got["open", "matching:2", "--allbut", 0] is False
+        assert got["open", "g6:Gh?GGC", "--allbut", 0] is True
+        assert all(want for (labeling, *_), want in got.items() if labeling == "complemented")
 
     # on C5 the open labeling serves {0, 1} but not {0, 2}: vertex 1's label
     # {0, 2} misses {1, 4} and {1, 3}; on P4 {0, 2} dominates and {0} does not
@@ -456,10 +475,15 @@ class TestLinegraph:
         assert code == OK and obj["verdict"] is True
         assert obj["rules"]["independence"] is True
 
-    def test_hypothesis_violation_is_usage(self):
-        code, out = run_cli(["linegraph", "--graph", "path:4", "--check", "cnbd",
-                             "--edge-set", "0-1"])
-        assert code == USAGE
+    def test_cnbd_needs_no_connected_order_five(self, tmp_path):
+        code, obj = run_cli_json(["linegraph", "--graph", "path:4", "--check", "cnbd",
+                                  "--edge-set", "0-1"])
+        assert code == OK and obj["verdict"] is False
+        p3_p3 = tmp_path / "p3p3.txt"
+        p3_p3.write_text("6\n0 1\n1 2\n3 4\n4 5\n")
+        code, obj = run_cli_json(["linegraph", "--graph", f"file:{p3_p3}", "--check", "cnbd",
+                                  "--edge-set", "0-1"])
+        assert code == OK and obj["verdict"] is True
 
     def test_unknown_edge_is_usage(self):
         code, _ = run_cli(

@@ -161,7 +161,7 @@ class TestInterferencePredicate:
             is_interference(complete(3), 0, SetLabeling(2, [1, 2, 3]))
 
 
-_C5, _K4, _P5 = itf.cycle(5), complete(4), itf.path(5)
+_C5, _K4 = itf.cycle(5), complete(4)
 _C5_LAB = build_complete_interference(5)
 
 # every criterion that takes a target set: the order of the graph the set
@@ -174,8 +174,6 @@ TARGET_SET_CRITERIA = {
     "open_on_line_graph": (6, lambda D: itf.neighborhood_interference_of(itf.line_graph(_K4), D)),
     "complemented_on_line_graph":
         (6, lambda D: itf.complemented_interference_of(itf.line_graph(_K4), D)),
-    "line_complemented_interference_of":
-        (4, lambda D: itf.line_complemented_interference_of(_P5, D)),
     "distance_pattern": (5, lambda D: itf.distance_pattern(_C5, D)),
 }
 
@@ -192,8 +190,6 @@ def test_target_set_guards(name):
 
 
 VERTEX_CRITERIA = {
-    "neighborhood_singleton": lambda v: itf.neighborhood_singleton(_C5, v),
-    "neighborhood_all_but_one": lambda v: itf.neighborhood_all_but_one(_C5, v),
     "bfs_layers": lambda v: itf.bfs_layers(_C5, v),
 }
 

@@ -770,7 +770,6 @@ class TestBipartiteIndex:
             U = (1 << r) - 1
             res = interference_index(G, Pattern.explicit([U]))
             assert res.index == ceil_log2(r + s + 1)
-            assert itf.bipartite_side_index(r, s) == ceil_log2(r + s + 1)
 
     def test_arguments_commute(self):
         assert itf.bipartite_index(2, 5) == itf.bipartite_index(5, 2)

@@ -9,6 +9,7 @@ import interfere as itf
 from interfere import (
     Graph,
     HypothesisViolation,
+    complemented_interference_of,
     complete,
     cycle,
     is_complete_interference,
@@ -17,7 +18,6 @@ from interfere import (
     line_graph,
     line_injectivity_report,
     neighborhood_interference_of,
-    neighborhood_singleton,
     path,
 )
 
@@ -134,7 +134,8 @@ class TestInterferenceOf:
             L, rep = line_oracle_labeling(G)
             for e in range(G.m):
                 want = rep.valid and is_interference(complete(L.n), 1 << e, rep.labeling)
-                assert neighborhood_singleton(line_graph(G), e) == want, (itf.to_graph6(G), e)
+                assert neighborhood_interference_of(line_graph(G), 1 << e) == want, (
+                    itf.to_graph6(G), e)
 
     def test_rejects_empty_target(self):
         with pytest.raises(ValueError):
@@ -211,24 +212,29 @@ class TestCompleteness:
 
 
 class TestComplementedEdgeRoute:
-    def test_requires_order_five_connected(self):
-        with pytest.raises(HypothesisViolation):
-            itf.line_complemented_interference_of(path(4), 0b1)
-        with pytest.raises(HypothesisViolation):
-            itf.line_complemented_interference_of(
-                Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), 0b1
-            )
+    def test_decides_outside_order_five_connected(self):
+        # the per-set criterion needs neither hypothesis: on P4 edges 01 and
+        # 23 get the same label {01, 23}, and on P3 u P3 the label
+        # {01, 34, 45} of edge 01 meets every other label
+        assert complemented_interference_of(line_graph(path(4)), 0b1) is False
+        P3_P3 = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        assert complemented_interference_of(line_graph(P3_P3), 0b1) is True
 
-    @pytest.mark.parametrize("n", (5, 6))
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_against_definitional_oracle(self, n):
+        # every graph of order n with an edge, disconnected ones included;
+        # every D up to 8 edges, 40 seeded D past that
         rng = random.Random(n)
-        for G in itf.connected_graphs(n):
+        for G in itf.all_graphs(n):
+            if G.m == 0:
+                continue
             L = line_graph(G)
             rep = itf.complemented_labeling(L)
-            for _ in range(20):
-                D = rng.randrange(1, 1 << G.m)
+            sets = range(1, 1 << G.m) if G.m <= 8 else (
+                rng.randrange(1, 1 << G.m) for _ in range(40))
+            for D in sets:
                 want = rep.valid and is_interference(complete(L.n), D, rep.labeling)
-                assert itf.line_complemented_interference_of(G, D) == want
+                assert complemented_interference_of(L, D) == want, (itf.to_graph6(G), D)
 
     def test_size_rule_needs_five_edges(self):
         with pytest.raises(HypothesisViolation):

@@ -26,11 +26,9 @@ from interfere import (
     is_interference,
     mask_of,
     matching,
-    neighborhood_all_but_one,
     neighborhood_complete,
     neighborhood_interference_of,
     neighborhood_labeling,
-    neighborhood_singleton,
     path,
     two_path_complete,
     two_path_graph,
@@ -204,47 +202,37 @@ class TestTargetFamilies:
 
 
 class TestSingletonAndAllButOne:
+    """D = {v} asks that row v of T(G) be complete, D = V minus {v} that it
+    be nonempty; both are target sets like any other."""
+
     def test_singleton_against_oracle(self):
         # every graph up to order 7, K1 and disconnected graphs included
         for G in itf.graphs_upto(7):
             rep = neighborhood_labeling(G)
             for v in G.vertices():
-                assert neighborhood_singleton(G, v) == oracle_interferes(
+                assert neighborhood_interference_of(G, 1 << v) == oracle_interferes(
                     G, 1 << v, rep
                 ), (itf.to_graph6(G), v)
 
     def test_all_but_one_against_oracle(self):
+        # disconnected graphs included; K1 has no all-but-one set
         for G in itf.graphs_upto(7):
+            if G.n < 2:
+                continue
             rep = neighborhood_labeling(G)
             for v in G.vertices():
-                if not itf.is_connected(G):
-                    with pytest.raises(itf.HypothesisViolation):
-                        neighborhood_all_but_one(G, v)
-                    continue
-                if G.n < 2:
-                    with pytest.raises(ValueError):
-                        neighborhood_all_but_one(G, v)
-                    continue
                 D = G.full_mask & ~(1 << v)
-                assert neighborhood_all_but_one(G, v) == oracle_interferes(
+                assert neighborhood_interference_of(G, D) == oracle_interferes(
                     G, D, rep
                 ), (itf.to_graph6(G), v)
 
     def test_wheel_four_center_fails_despite_rich_neighborhood(self):
         # the center's neighborhood induces a cycle, yet the labeling itself
         # is not injective, so no target set works
-        assert neighborhood_singleton(wheel(4), 4) is False
+        assert neighborhood_interference_of(wheel(4), 1 << 4) is False
 
     def test_path_end_all_but_one(self):
-        assert neighborhood_all_but_one(path(5), 0)
-
-    def test_all_but_one_requires_connected(self):
-        with pytest.raises(itf.HypothesisViolation):
-            neighborhood_all_but_one(matching(2), 0)
-
-    def test_vertex_bounds(self):
-        with pytest.raises(ValueError):
-            neighborhood_singleton(path(3), 3)
+        assert neighborhood_interference_of(path(5), 0b11110)
 
 
 class TestTwoPathComplete:

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from collections import Counter
@@ -134,3 +135,27 @@ def test_every_function_has_a_caller():
     found += [f"{name} (listed, not defined)" for name in ENTRY_POINTS if name not in defined]
     if found:
         pytest.fail(f"functions no package module uses: {', '.join(found)}")
+
+
+def _traced_layers():
+    """LAYERS from bench/tracer.py, read from its source: the benchmark's
+    per-layer metrics bind these functions by name."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS":
+            return ast.literal_eval(node.value)
+    pytest.fail("bench/tracer.py defines no LAYERS")
+
+
+def test_traced_names_are_defined():
+    """Every name the benchmark's tracer wraps is a function of its layer
+    (lru_cache wrappers included), so removing one fails here and not only
+    in the benchmark's own tests."""
+    found = [
+        f"{layer}.{name}"
+        for layer, names in _traced_layers().items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"interfere.{layer}"), name, None))
+    ]
+    if found:
+        pytest.fail(f"traced names the package does not define: {', '.join(found)}")
