@@ -15,7 +15,9 @@ set) and prunes with:
 * one-candidate pairs (u, {v}) skip that rule as the edges of the
   forced graph F (f(u) and f(v) must meet): each vertex keeps the codes meeting
   each F-neighbor's element union, each edge in both directions
-  (arc consistency; Mackworth, Artif. Intell. 8, 1977);
+  (arc consistency; Mackworth, Artif. Intell. 8, 1977).  Vertices with one
+  F-neighborhood, such as a side of K_{r,s}, form a class, and the rule
+  builds one mask per class and applies it to every member;
 * implied constraints are not propagated: (u, Vs) is dropped when u has a
   constraint on a strict subset of Vs, whose fixpoint already meets the
   support rule of (u, Vs), so the monotone rules reach the same fixpoint.  The
@@ -28,7 +30,10 @@ set) and prunes with:
   if its F-neighbors' domains hold at least d codes that meet c and differ
   from it, since those neighbors take pairwise distinct codes, each meeting
   c and none equal to it (Solnon, Artif. Intell. 174, 2010): a degree filter
-  at the root.  An empty forced table turns this rule off, not F's edges;
+  at the root.  It runs once per F-neighborhood class, over the union of its
+  members' domains, and skips a class whose F-neighbors' domain union is the
+  one it last counted against in the same propagation, since domains only
+  shrink there.  An empty forced table turns this rule off, not F's edges;
 * first-occurrence symmetry breaking: along the fixed assignment order,
   each new label may introduce only a contiguous block of fresh ground
   elements, so solutions are explored once per ground-permutation orbit;
@@ -159,9 +164,12 @@ def _twin_classes(n: int, constraints) -> List[int]:
     cset = set(constraints)
     profile: List[list] = [[] for _ in range(n)]
     for w, cands in constraints:
-        profile[w].append(-cands.bit_count())
-        for v in iter_bits(cands):
-            profile[v].append(cands.bit_count())
+        k = cands.bit_count()
+        profile[w].append(-k)
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            profile[low.bit_length() - 1].append(k)
     profile = [sorted(p) for p in profile]
 
     def swaps(u: int, v: int) -> bool:
@@ -170,6 +178,8 @@ def _twin_classes(n: int, constraints) -> List[int]:
         for w, cands in constraints:
             if (cands >> u ^ cands >> v) & 1:
                 cands ^= both
+            elif w not in t:
+                continue  # owned by neither, holding both or neither: maps to itself
             if (t.get(w, w), cands) not in cset:
                 return False
         return True
@@ -218,14 +228,19 @@ class _Kernel:
         self.elem_codes = [(1 << e, sup[1 << e]) for e in range(m)]
         self.constraints = [(u, tuple(iter_bits(c))) for u, c in constraints if c & (c - 1)]
         # the forced graph F: a one-candidate pair (u, {v}) forces f(u) and f(v) to
-        # meet; edges lists (u, F-neighbors) for F-degree >= 1, forced those of >= 2
+        # meet; edges lists (members, F-neighbors) per class of vertices with one
+        # F-neighborhood, for F-degree >= 1, and forced those of F-degree >= 2
         fnbrs = [0] * self.n
         for u, c in constraints:
             if c & (c - 1) == 0:
                 fnbrs[u] |= c
                 fnbrs[c.bit_length() - 1] |= 1 << u
-        self.edges = [(u, tuple(iter_bits(ws))) for u, ws in enumerate(fnbrs) if ws]
-        self.forced = [(u, ws) for u, ws in self.edges if len(ws) > 1]
+        classes = {}
+        for u, ws in enumerate(fnbrs):
+            if ws:
+                classes.setdefault(ws, []).append(u)
+        self.edges = [(tuple(us), tuple(iter_bits(ws))) for ws, us in classes.items()]
+        self.forced = [(us, ws) for us, ws in self.edges if len(ws) > 1]
         # fail-first: small twin classes, then low degree in G, come first
         cls = _twin_classes(self.n, constraints) if symmetry else range(self.n)
         size = [0] * self.n
@@ -251,6 +266,10 @@ class _Kernel:
 
     def _propagate(self, dom: List[int]) -> bool:
         n, sup, union = self.n, self.sup, self._union
+        # seen[i] = the avail that forced class i was last counted against in
+        # this call; never kept across calls, since a sibling node may see the
+        # same avail with codes still untested
+        seen = [-1] * len(self.forced)
         changed = True
         while changed:
             changed = False
@@ -276,16 +295,20 @@ class _Kernel:
             # element unions, read once per round: a rule that narrows a
             # domain sets changed, and the next round reads it afresh
             eu = [union(d) for d in dom]
-            # F's edges, listed at both ends: u meets each F-neighbor's elements
-            for u, ws in self.edges:
-                nd = du = dom[u]
+            # F's edges, listed at both ends: each member of a class meets each
+            # of the class's F-neighbors' elements
+            for us, ws in self.edges:
+                keep = -1
                 for w in ws:
-                    nd &= sup[eu[w]]
-                if nd != du:
-                    if nd == 0:
-                        return False
-                    dom[u] = nd
-                    changed = True
+                    keep &= sup[eu[w]]
+                for u in us:
+                    du = dom[u]
+                    nd = du & keep
+                    if nd != du:
+                        if nd == 0:
+                            return False
+                        dom[u] = nd
+                        changed = True
             for u, vs in self.constraints:
                 big = 0
                 for v in vs:
@@ -297,24 +320,34 @@ class _Kernel:
                 if nd != du:
                     dom[u] = nd
                     changed = True
-            # neighbor counting: u's F-neighbors need distinct codes that
-            # meet u's code c and differ from it
-            for u, ws in self.forced:
+            # neighbor counting: the class's F-neighbors need distinct codes
+            # that meet a member's code c and differ from it; domains only
+            # shrink, so an unchanged avail has no code left to cut
+            for i, (us, ws) in enumerate(self.forced):
                 avail = 0
                 for w in ws:
                     avail |= dom[w]
+                if avail == seen[i]:
+                    continue
+                seen[i] = avail
                 d = len(ws)
-                du = nd = dom[u]
-                while du:
-                    low = du & -du
-                    du ^= low
+                left = cut = 0
+                for u in us:
+                    left |= dom[u]
+                while left:
+                    low = left & -left
+                    left ^= low
                     if (avail & (sup[low.bit_length() - 1] ^ low)).bit_count() < d:
-                        nd ^= low
-                if nd == 0:
-                    return False
-                if nd != dom[u]:
-                    dom[u] = nd
-                    changed = True
+                        cut |= low
+                if cut:
+                    for u in us:
+                        du = dom[u]
+                        if du & cut:
+                            du &= ~cut
+                            if du == 0:
+                                return False
+                            dom[u] = du
+                            changed = True
         return True
 
     def search(self) -> Optional[SetLabeling]:

@@ -137,6 +137,15 @@ TWIN_RICH = (
     + [itf.wheel(n) for n in range(3, 7)]
 )
 
+# graphs whose vertices share F-neighborhoods, so the kernel's forced classes
+# have several members; crown:4 is the corona of C4
+F_CLASSES = (
+    [complete_bipartite(r, s) for r in range(1, 6) for s in range(r, 6)]
+    + [complete_multipartite(*p)
+       for p in ((2, 2, 2), (1, 2, 3), (3, 3, 3), (2, 2, 2, 2), (1, 1, 3, 3))]
+    + [itf.crown(4)]
+)
+
 
 def patterns_of(G):
     """The dominating pattern and the singletons, plus cross-pairs when G has
@@ -276,12 +285,26 @@ class TestNeighborCounting:
         if n >= 5:
             assert saved > 0  # the rule has codes to remove from order 5 on
 
+    @pytest.mark.parametrize("G", F_CLASSES, ids=itf.to_graph6)
+    def test_forced_classes(self, G):
+        for P in patterns_of(G):
+            for m in range(index_lower_bound(G.n), universal_upper_bound(G.n) + 1):
+                try:
+                    self._compare(G, P, m)
+                except NoDominatingSetError:
+                    break
+
     def test_forced_table(self):
         # star:3 under {0}: each leaf's one candidate is the center, so F is
         # the star itself and only the center has F-degree >= 2
         G = itf.star(3)
         kern = _Kernel(G, _constraints_for(G, Pattern.explicit([0b0001])), 3, 10**6, True)
-        assert kern.forced == [(0, (1, 2, 3))]
+        assert kern.forced == [((0,), (1, 2, 3))]
+        # K2,3 under the dominating pattern: F is K2,3 itself, so each side is
+        # one class whose F-neighbors are the other side
+        G = complete_bipartite(2, 3)
+        kern = _Kernel(G, _constraints_for(G, Pattern.all_dominating()), 3, 10**6, True)
+        assert kern.forced == [((0, 1), (2, 3, 4)), ((2, 3, 4), (0, 1))]
 
 
 class TestIndexAgainstScan:
@@ -491,6 +514,14 @@ class TestPropagation:
                 P = Pattern.explicit([rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))])
             if self._agrees(rng, G, P) is not None:
                 checked += 1
+
+    def test_forced_classes(self):
+        rng = random.Random(36)
+        for G in F_CLASSES:
+            for P in patterns_of(G):
+                for _ in range(10):
+                    if self._agrees(rng, G, P) is None:
+                        break
 
     def test_orders_9_and_10_minimal_dominating(self):
         rng = random.Random(9)
