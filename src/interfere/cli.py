@@ -66,7 +66,6 @@ from .graphs import (
     fingerprint,
     from_edge_list,
     from_graph6,
-    is_point_determining,
     line_graph,
     to_edge_list_text,
     to_graph6,
@@ -468,8 +467,7 @@ def _sweep_nbd(args) -> Tuple[int, int, List[dict]]:
         # oracle disagree on D, so every D is decided once; the draws are
         # made only to list the disagreements, once per draw
         open_bad = _family(two_path_graph(G)) ^ _family(h_open)
-        comp_valid = is_point_determining(G)
-        comp_bad = (complemented_escape_family(G) if comp_valid else 0) ^ _family(h_comp)
+        comp_bad = (complemented_escape_family(G) if crep.valid else 0) ^ _family(h_comp)
         if open_bad | comp_bad:
             for D in _target_sets(G, args.seed, args.samples):
                 found.extend((kind, bit_list(D)) for kind, bad in (

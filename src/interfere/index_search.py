@@ -5,19 +5,18 @@ labeling on m ground elements interferes for every member of a pattern
 family.  The kernel works on label *codes* (nonzero bitmasks over the ground
 set) and prunes with:
 
-* per-constraint support filtering: a vertex u constrained by candidate set
-  Vs keeps only codes meeting the union of elements still available in Vs
-  (a code intersects some member of a union iff it intersects the union);
-  each vertex's element union is read once per fixpoint round from one
-  code mask per ground element (a committed code is its own union); every
-  rule only narrows domains and every failure test stays true as they
-  shrink, so the rounds reach the same fixpoint as fresh unions would;
-* one-candidate pairs (u, {v}) skip that rule as the edges of the
-  forced graph F (f(u) and f(v) must meet): each vertex keeps the codes meeting
-  each F-neighbor's element union, each edge in both directions
-  (arc consistency; Mackworth, Artif. Intell. 8, 1977).  Vertices with one
-  F-neighborhood, such as a side of K_{r,s}, form a class, and the rule
-  builds one mask per class and applies it to every member;
+* support filtering: a vertex u constrained by candidate set Vs keeps only
+  codes meeting the union of elements still available in Vs (a code
+  intersects some member of a union iff it intersects the union).  A
+  one-candidate pair (u, {v}) is an edge of the forced graph F (f(u) and
+  f(v) must meet) and holds at both ends (arc consistency; Mackworth, Artif.
+  Intell. 8, 1977).  Vertices with the same F-neighbors and candidate sets,
+  such as a side of K_{r,s}, form a class, and the rule builds one mask per
+  class and applies it to every member.  Each vertex's element union is read
+  once per fixpoint round from one code mask per ground element (a committed
+  code is its own union); every rule only narrows domains and every failure
+  test stays true as they shrink, so the rounds reach the same fixpoint as
+  fresh unions would;
 * implied constraints are not propagated: (u, Vs) is dropped when u has a
   constraint on a strict subset of Vs, whose fixpoint already meets the
   support rule of (u, Vs), so the monotone rules reach the same fixpoint.  The
@@ -30,8 +29,8 @@ set) and prunes with:
   if its F-neighbors' domains hold at least d codes that meet c and differ
   from it, since those neighbors take pairwise distinct codes, each meeting
   c and none equal to it (Solnon, Artif. Intell. 174, 2010): a degree filter
-  at the root.  It runs once per F-neighborhood class, over the union of its
-  members' domains, and skips a class whose F-neighbors' domain union is the
+  at the root.  It runs once per class, over the union of its members'
+  domains, and skips a class whose F-neighbors' domain union is the
   one it last counted against in the same propagation, since domains only
   shrink there.  An empty forced table turns this rule off, not F's edges;
 * first-occurrence symmetry breaking: along the fixed assignment order,
@@ -226,21 +225,23 @@ class _Kernel:
         self.nodes = 0
         # (element bit, codes holding that element), to read a domain's element union
         self.elem_codes = [(1 << e, sup[1 << e]) for e in range(m)]
-        self.constraints = [(u, tuple(iter_bits(c))) for u, c in constraints if c & (c - 1)]
-        # the forced graph F: a one-candidate pair (u, {v}) forces f(u) and f(v) to
-        # meet; edges lists (members, F-neighbors) per class of vertices with one
-        # F-neighborhood, for F-degree >= 1, and forced those of F-degree >= 2
+        # the forced graph F: a one-candidate pair (u, {v}) forces f(u) and f(v)
+        # to meet.  rules lists (members, F-neighbors, candidate sets of two or
+        # more) per class of vertices sharing both; forced, those of F-degree >= 2
         fnbrs = [0] * self.n
+        sets: List[list] = [[] for _ in range(self.n)]
         for u, c in constraints:
-            if c & (c - 1) == 0:
+            if c & (c - 1):
+                sets[u].append(tuple(iter_bits(c)))
+            else:
                 fnbrs[u] |= c
                 fnbrs[c.bit_length() - 1] |= 1 << u
         classes = {}
-        for u, ws in enumerate(fnbrs):
-            if ws:
-                classes.setdefault(ws, []).append(u)
-        self.edges = [(tuple(us), tuple(iter_bits(ws))) for ws, us in classes.items()]
-        self.forced = [(us, ws) for us, ws in self.edges if len(ws) > 1]
+        for u in range(self.n):
+            if fnbrs[u] or sets[u]:
+                classes.setdefault((fnbrs[u], tuple(sets[u])), []).append(u)
+        self.rules = [(tuple(us), tuple(iter_bits(ws)), vss) for (ws, vss), us in classes.items()]
+        self.forced = [(us, ws) for us, ws, _ in self.rules if len(ws) > 1]
         # fail-first: small twin classes, then low degree in G, come first
         cls = _twin_classes(self.n, constraints) if symmetry else range(self.n)
         size = [0] * self.n
@@ -295,12 +296,18 @@ class _Kernel:
             # element unions, read once per round: a rule that narrows a
             # domain sets changed, and the next round reads it afresh
             eu = [union(d) for d in dom]
-            # F's edges, listed at both ends: each member of a class meets each
-            # of the class's F-neighbors' elements
-            for us, ws in self.edges:
+            # support, one mask per class: each member meets each F-neighbor's
+            # elements (F's edges, listed at both ends) and each candidate
+            # set's element union
+            for us, ws, sets in self.rules:
                 keep = -1
                 for w in ws:
                     keep &= sup[eu[w]]
+                for vs in sets:
+                    big = 0
+                    for v in vs:
+                        big |= eu[v]
+                    keep &= sup[big]
                 for u in us:
                     du = dom[u]
                     nd = du & keep
@@ -309,17 +316,6 @@ class _Kernel:
                             return False
                         dom[u] = nd
                         changed = True
-            for u, vs in self.constraints:
-                big = 0
-                for v in vs:
-                    big |= eu[v]
-                du = dom[u]
-                nd = du & sup[big]
-                if nd == 0:
-                    return False
-                if nd != du:
-                    dom[u] = nd
-                    changed = True
             # neighbor counting: the class's F-neighbors need distinct codes
             # that meet a member's code c and differ from it; domains only
             # shrink, so an unchanged avail has no code left to cut

@@ -547,7 +547,6 @@ def _family_of_lowest_dropped(complemented_escape_family):
 # cli name -> (suite, wrong version of the real function)
 WRONG_CRITERIA = {
     "two_path_graph": ("nbd-oracle", _drop_first_edge),
-    "is_point_determining": ("nbd-oracle", lambda real: lambda G: True),
     "complemented_escape_family": ("nbd-oracle", _family_of_lowest_dropped),
     "neighborhood_complete": ("nbd-oracle", _negate),
     "complemented_complete": ("nbd-oracle", _negate),
@@ -657,7 +656,6 @@ class TestSweep:
     PINNED_COUNTS = {
         None: ((968_510, 0), (74_920, 0)),
         "two_path_graph": ((968_510, 18_653), (74_920, 1_435)),
-        "is_point_determining": ((968_510, 158_083), (74_920, 11_832)),
         "complemented_escape_family": ((968_510, 28_263), (74_920, 2_066)),
         "neighborhood_complete": ((968_510, 996), (74_920, 996)),
         "complemented_complete": ((968_510, 996), (74_920, 996)),

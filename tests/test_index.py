@@ -146,6 +146,18 @@ F_CLASSES = (
     + [itf.crown(4)]
 )
 
+# (graph, pattern, class): the kernel builds a class with several members that
+# joins F-neighbors to a candidate set, or has a candidate set alone, so one
+# support mask serves every member
+MIXED_CLASSES = (
+    # complete:5 under {0}, {1, 2}: 3 and 4 need 0 alone and one of 1, 2
+    pytest.param(complete(5), Pattern.explicit([0b00001, 0b00110]),
+                 ((3, 4), (0,), ((1, 2),)), id="complete:5"),
+    # kpq:2,3 under {0, 1}: the far side needs one of 0, 1 and has no F-edge
+    pytest.param(complete_bipartite(2, 3), Pattern.explicit([0b00011]),
+                 ((2, 3, 4), (), ((0, 1),)), id="kpq:2,3"),
+)
+
 
 def patterns_of(G):
     """The dominating pattern and the singletons, plus cross-pairs when G has
@@ -293,6 +305,13 @@ class TestNeighborCounting:
                     self._compare(G, P, m)
                 except NoDominatingSetError:
                     break
+
+    @pytest.mark.parametrize("G, P, cls", MIXED_CLASSES)
+    def test_mixed_classes(self, G, P, cls):
+        kern = _Kernel(G, _constraints_for(G, P), 3, 10**6, True)
+        assert cls in kern.rules
+        for m in range(index_lower_bound(G.n), universal_upper_bound(G.n) + 1):
+            self._compare(G, P, m)
 
     def test_forced_table(self):
         # star:3 under {0}: each leaf's one candidate is the center, so F is
@@ -522,6 +541,13 @@ class TestPropagation:
                 for _ in range(10):
                     if self._agrees(rng, G, P) is None:
                         break
+
+    @pytest.mark.parametrize("G, P, cls", MIXED_CLASSES)
+    def test_mixed_classes(self, G, P, cls):
+        rng = random.Random(37)
+        assert cls in _Kernel(G, _constraints_for(G, P), 3, 10**6, True).rules
+        for _ in range(200):
+            self._agrees(rng, G, P)
 
     def test_orders_9_and_10_minimal_dominating(self):
         rng = random.Random(9)
